@@ -1,22 +1,30 @@
-// Placement-index throughput benchmark (the PR's acceptance gauge).
+// Placement-index throughput benchmark.
 //
 // Drives EC2-catalog fleets of 1k / 5k / 10k PMs through a fill phase (place
-// VMs until the fleet saturates) and a sustained place/remove churn phase,
-// for both PageRankVM engines: the bucketed placement index (default) and
-// the legacy linear scan (use_index = false, Algorithm 2 as printed).
-// Reports placements/sec, p50/p99/p999 single-placement latency off the
-// shared obs::Histogram (same estimator as prvm_loadgen, <= 12.5% relative
-// error), and the engine's own counters (score lookups, ranked-key probes,
-// rep-cache hits) from a per-run private registry.
+// VMs until the fleet saturates) and a place/remove churn phase, for both
+// PageRankVM engines: the pick index (default) and the legacy linear scan
+// (use_index = false, Algorithm 2 as printed). Reports placements/sec,
+// p50/p99/p999 single-placement latency off the shared obs::Histogram (same
+// estimator as prvm_loadgen, <= 12.5% relative error), and the engine's own
+// counters (score lookups, index probes, rep-cache hits) from a per-run
+// private registry.
+//
+// A sustained phase then runs the indexed engine alone on a saturated
+// 5000-PM fleet for 50k release+place pairs and reports the exact per-op
+// p50 of place() in 5 consecutive windows: steady-state churn diversifies
+// the live profiles, so a pick whose cost grows with them shows up as a
+// rising window, which a short post-fill window hides.
 //
 // Usage: bench_placement_throughput [--json PATH]
 //   --json PATH   additionally write machine-readable results to PATH
 //   PRVM_FAST=1   shrink fleets and op counts for a smoke run
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <fstream>
 #include <iostream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench_util.hpp"
@@ -43,10 +51,34 @@ struct EngineStats {
   double p99_us = 0.0;
   double p999_us = 0.0;
   std::uint64_t score_lookups = 0;   ///< best-successor table lookups (churn)
-  std::uint64_t index_probes = 0;    ///< ranked-key bucket probes (churn)
+  std::uint64_t index_probes = 0;    ///< index probes (churn; 0 for the pick index)
   std::uint64_t rep_cache_hits = 0;  ///< best-permutation cache hits (churn)
   std::uint64_t linear_scored = 0;   ///< PMs scored by the legacy scan (churn)
 };
+
+/// Places VMs until the fleet saturates (every PM used and the stream starts
+/// bouncing), so churn afterwards runs with used PMs ~= the fleet size.
+/// Returns the fill placements per second; `live` receives the placed ids.
+double fill_fleet(Datacenter& dc, PageRankVm& engine, const Catalog& catalog, Rng& rng,
+                  std::vector<VmId>& live, VmId& next_id) {
+  const std::vector<double> mix = default_vm_mix(catalog);
+  std::size_t rejected_streak = 0;
+  const auto fill_start = Clock::now();
+  while (rejected_streak < 32) {
+    const std::vector<Vm> wave = weighted_vm_requests(rng, catalog, 256, mix);
+    for (const Vm& vm : wave) {
+      Vm request{next_id++, vm.type_index};
+      if (engine.place(dc, request).has_value()) {
+        live.push_back(request.id);
+        rejected_streak = 0;
+      } else {
+        ++rejected_streak;
+      }
+    }
+  }
+  const double fill_seconds = std::chrono::duration<double>(Clock::now() - fill_start).count();
+  return static_cast<double>(live.size()) / fill_seconds;
+}
 
 EngineStats run_engine(const Catalog& catalog,
                        const std::shared_ptr<const ScoreTableSet>& tables, std::size_t fleet,
@@ -60,30 +92,13 @@ EngineStats run_engine(const Catalog& catalog,
   options.metrics = &reg;
   PageRankVm engine(tables, options);
 
-  // Fill: place VMs until the fleet saturates (every PM used and the stream
-  // starts bouncing) so churn below runs with used PMs ~= the fleet size.
   Rng rng(7);
   const std::vector<double> mix = default_vm_mix(catalog);
   EngineStats stats;
   std::vector<VmId> live;
   VmId next_id = 1;
-  std::size_t rejected_streak = 0;
-  const auto fill_start = Clock::now();
-  while (rejected_streak < 32) {
-    const std::vector<Vm> wave = weighted_vm_requests(rng, catalog, 256, mix);
-    for (const Vm& vm : wave) {
-      Vm request{next_id++, vm.type_index};
-      if (engine.place(dc, request).has_value()) {
-        live.push_back(request.id);
-        ++stats.fill_placements;
-        rejected_streak = 0;
-      } else {
-        ++rejected_streak;
-      }
-    }
-  }
-  const double fill_seconds = std::chrono::duration<double>(Clock::now() - fill_start).count();
-  stats.fill_pps = static_cast<double>(stats.fill_placements) / fill_seconds;
+  stats.fill_pps = fill_fleet(dc, engine, catalog, rng, live, next_id);
+  stats.fill_placements = live.size();
   stats.used_pms = dc.used_count();
 
   // Counter baselines: report churn-phase deltas, not fill noise.
@@ -122,6 +137,58 @@ EngineStats run_engine(const Catalog& catalog,
   stats.index_probes = reg.counter("prvm_engine_index_probes_total").value() - base_probes;
   stats.rep_cache_hits = reg.counter("prvm_engine_rep_cache_hits_total").value() - base_hits;
   stats.linear_scored = reg.counter("prvm_engine_linear_scored_total").value() - base_linear;
+  return stats;
+}
+
+struct SustainedStats {
+  std::size_t fleet = 0;
+  std::size_t pairs = 0;
+  std::vector<double> window_p50_us;  ///< exact per-op place() p50, per window
+  double first() const { return window_p50_us.front(); }
+  double peak() const { return *std::max_element(window_p50_us.begin(), window_p50_us.end()); }
+};
+
+/// Indexed engine only: fill `fleet` PMs to saturation, then `pairs`
+/// release+place pairs split into `windows` equal windows.
+SustainedStats run_sustained(const Catalog& catalog,
+                             const std::shared_ptr<const ScoreTableSet>& tables,
+                             std::size_t fleet, std::size_t pairs, std::size_t windows) {
+  Datacenter dc(catalog, mixed_pm_fleet(catalog, fleet));
+  obs::Registry reg;
+  PageRankVmOptions options;
+  options.metrics = &reg;
+  PageRankVm engine(tables, options);
+  Rng rng(11);
+  std::vector<VmId> live;
+  VmId next_id = 1;
+  fill_fleet(dc, engine, catalog, rng, live, next_id);
+
+  SustainedStats stats;
+  stats.fleet = fleet;
+  stats.pairs = pairs;
+  const std::vector<Vm> stream =
+      weighted_vm_requests(rng, catalog, pairs, default_vm_mix(catalog));
+  const std::size_t per_window = pairs / windows;
+  std::vector<double> window_us;
+  window_us.reserve(per_window);
+  for (std::size_t op = 0; op < per_window * windows; ++op) {
+    const std::size_t pick = rng.uniform_index(live.size());
+    dc.remove(live[pick]);
+    live[pick] = live.back();
+    live.pop_back();
+
+    Vm request{next_id++, stream[op].type_index};
+    const auto start = Clock::now();
+    const auto pm = engine.place(dc, request);
+    window_us.push_back(std::chrono::duration<double, std::micro>(Clock::now() - start).count());
+    if (pm.has_value()) live.push_back(request.id);
+    if (window_us.size() == per_window) {
+      auto mid = window_us.begin() + static_cast<std::ptrdiff_t>(per_window / 2);
+      std::nth_element(window_us.begin(), mid, window_us.end());
+      stats.window_p50_us.push_back(*mid);
+      window_us.clear();
+    }
+  }
   return stats;
 }
 
@@ -171,8 +238,11 @@ int main(int argc, char** argv) {
   const std::vector<std::size_t> fleets =
       fast ? std::vector<std::size_t>{200, 500} : std::vector<std::size_t>{1000, 5000, 10000};
   const std::size_t churn_ops = fast ? 200 : 2000;
+  const std::size_t sustained_fleet = fast ? 500 : 5000;
+  const std::size_t sustained_pairs = fast ? 5000 : 50000;
+  constexpr std::size_t kSustainedWindows = 5;
 
-  std::cout << "==== PageRankVM placement throughput: bucketed index vs linear scan ====\n"
+  std::cout << "==== PageRankVM placement throughput: pick index vs linear scan ====\n"
             << "(EC2 catalog, mixed fleet; fill to saturation, then " << churn_ops
             << " remove+place churn ops; PRVM_FAST=1 shrinks)\n\n";
 
@@ -198,6 +268,13 @@ int main(int argc, char** argv) {
     rows.push_back(Row{fleet, indexed.used_pms, indexed, linear, speedup});
   }
 
+  const SustainedStats sustained =
+      run_sustained(catalog, tables, sustained_fleet, sustained_pairs, kSustainedWindows);
+  std::printf("sustained (indexed, %zu PMs, %zu release+place pairs): place() p50 per window",
+              sustained.fleet, sustained.pairs);
+  for (const double us : sustained.window_p50_us) std::printf(" %.2f", us);
+  std::printf(" us\n  -> peak/first window %.2fx\n\n", sustained.peak() / sustained.first());
+
   if (!json_path.empty()) {
     std::ofstream os(json_path, std::ios::trunc);
     if (!os.is_open()) {
@@ -205,6 +282,7 @@ int main(int argc, char** argv) {
       return 1;
     }
     os << "{\n  \"benchmark\": \"placement_throughput\",\n  \"catalog\": \"ec2_sim\",\n"
+       << "  \"hardware_threads\": " << std::thread::hardware_concurrency() << ",\n"
        << "  \"churn_ops\": " << churn_ops << ",\n  \"fleets\": [\n";
     for (std::size_t r = 0; r < rows.size(); ++r) {
       const Row& row = rows[r];
@@ -215,7 +293,13 @@ int main(int argc, char** argv) {
       os << ",\n      \"churn_speedup\": " << row.speedup << "}"
          << (r + 1 < rows.size() ? "," : "") << "\n";
     }
-    os << "  ]\n}\n";
+    os << "  ],\n  \"sustained\": {\"engine\": \"indexed\", \"pms\": " << sustained.fleet
+       << ", \"pairs\": " << sustained.pairs << ", \"window_place_p50_us\": [";
+    for (std::size_t w = 0; w < sustained.window_p50_us.size(); ++w) {
+      os << (w > 0 ? ", " : "") << sustained.window_p50_us[w];
+    }
+    os << "], \"first_window_p50_us\": " << sustained.first()
+       << ", \"peak_window_p50_us\": " << sustained.peak() << "}\n}\n";
     std::cout << "wrote " << json_path << "\n";
   }
   return 0;

@@ -7,6 +7,7 @@
 #include <ostream>
 
 #include "common/check.hpp"
+#include "core/catalog_graphs.hpp"
 
 namespace prvm {
 
@@ -183,6 +184,20 @@ void Datacenter::mark_unused(PmIndex i) {
   --index_[pms_[i].type_index].used_count;
 }
 
+void Datacenter::refresh_pick(PmIndex i) {
+  if (!pick_.attached()) return;
+  const PmState& pm = pms_[i];
+  pick_.update(i, pm.type_index, pm.canonical_key, pm.used(), activation_seq_[i]);
+}
+
+void Datacenter::attach_pick_index(std::shared_ptr<const ScoreTableSet> tables) {
+  pick_.reset(std::move(tables), catalog_, pms_.size());
+  for (const PmIndex i : used_order_) {
+    pick_.set_leaves(i, pms_[i].type_index, pms_[i].canonical_key, true, activation_seq_[i]);
+  }
+  pick_.rebuild();
+}
+
 void Datacenter::place(PmIndex i, const Vm& vm, const DemandPlacement& placement) {
   PRVM_REQUIRE(i < pms_.size(), "PM index out of range");
   PRVM_REQUIRE(!vm_index_.contains(vm.id), "VM already placed");
@@ -215,6 +230,7 @@ void Datacenter::place(PmIndex i, const Vm& vm, const DemandPlacement& placement
   } else {
     mark_used(i);
   }
+  refresh_pick(i);
 }
 
 void Datacenter::place_first_fit(PmIndex i, const Vm& vm) {
@@ -251,6 +267,7 @@ Datacenter::PlacedVm Datacenter::remove(VmId vm) {
   } else {
     mark_unused(i);
   }
+  refresh_pick(i);
   return record;
 }
 
@@ -282,6 +299,7 @@ void Datacenter::clear() {
   prev_in_bucket_.assign(pms_.size(), kNoPm);
   unused_bits_.assign((pms_.size() + 63) / 64, ~std::uint64_t{0});
   next_activation_ = 0;
+  pick_.clear();
 }
 
 void Datacenter::recompute_key(PmIndex i) {
@@ -443,6 +461,52 @@ void Datacenter::check_index_invariants() const {
   for (std::size_t k = 0; k + 1 < used_order_.size(); ++k) {
     PRVM_CHECK(activation_seq_[used_order_[k]] < activation_seq_[used_order_[k + 1]],
                "used order not sorted by activation sequence");
+  }
+  if (pick_.attached()) check_pick_index();
+}
+
+void Datacenter::check_pick_index() const {
+  const ScoreTableSet& tables = *pick_.tables();
+  const std::size_t vm_types = catalog_.vm_types().size();
+  // Leaves: recomputed through the public table API, not the index's rows.
+  for (PmIndex i = 0; i < pms_.size(); ++i) {
+    const PmState& pm = pms_[i];
+    for (std::size_t v = 0; v < vm_types; ++v) {
+      PickIndex::Entry expected;
+      const auto slot = tables.demand_slot(pm.type_index, v);
+      if (pm.used() && slot.has_value()) {
+        const auto best = tables.table(pm.type_index).best_after(pm.canonical_key, *slot);
+        if (best.has_value()) {
+          expected = PickIndex::Entry{activation_seq_[i], static_cast<float>(best->score),
+                                      static_cast<std::uint32_t>(i)};
+        }
+      }
+      PRVM_CHECK(pick_.leaf(i, v) == expected, "pick index leaf out of sync with the ledger");
+    }
+  }
+  pick_.check_tree();
+  // Roots: Algorithm 2 as printed — the first strictly best used PM.
+  for (std::size_t v = 0; v < vm_types; ++v) {
+    PmIndex best_pm = kNoPm;
+    double best_score = 0.0;
+    for (const PmIndex i : used_order_) {
+      const auto slot = tables.demand_slot(pms_[i].type_index, v);
+      if (!slot.has_value()) continue;
+      const auto best = tables.table(pms_[i].type_index).best_after(pms_[i].canonical_key, *slot);
+      if (!best.has_value()) continue;
+      if (best_pm == kNoPm || best->score > best_score) {
+        best_pm = i;
+        best_score = best->score;
+      }
+    }
+    const PickIndex::Entry& root = pick_.top(v);
+    if (best_pm == kNoPm) {
+      PRVM_CHECK(root.empty(), "pick index root names a PM although none fits");
+    } else {
+      PRVM_CHECK(!root.empty() && root.pm == best_pm &&
+                     static_cast<double>(root.score) == best_score,
+                 "pick index root differs from the linear-scan argmax");
+    }
   }
 }
 

@@ -17,6 +17,12 @@
 // activation sequence number per used PM (Algorithm 2's used_PM_list order)
 // and a bitmap free-list of unused PMs round out the index; all maintenance
 // is O(1) per mutation and allocation-free at steady state.
+//
+// Once a ScoreTableSet is attached (attach_pick_index), the datacenter also
+// keeps a PickIndex: one winner tree per VM type over all PMs whose root is
+// Algorithm 2's pick. place()/remove() refresh the changed PM's V leaf paths
+// (O(V log N)); an unattached datacenter pays nothing, so WAL replay and
+// deserialize() stay as cheap as the ledger itself.
 #pragma once
 
 #include <cstdint>
@@ -28,6 +34,7 @@
 #include <vector>
 
 #include "cluster/catalog.hpp"
+#include "cluster/pick_index.hpp"
 #include "common/flat_map.hpp"
 #include "profile/permutation.hpp"
 
@@ -209,6 +216,14 @@ class Datacenter {
   /// off (bit-identical continuation after crash recovery).
   std::uint64_t activation_counter() const { return next_activation_; }
 
+  /// Binds the pick index to `tables` and builds it from the current ledger
+  /// (O(N V)); from then on every place()/remove() keeps it exact. Replaces
+  /// any previous attachment. `tables` must cover this datacenter's catalog.
+  void attach_pick_index(std::shared_ptr<const ScoreTableSet> tables);
+
+  /// The per-VM-type winner trees (unattached until attach_pick_index()).
+  const PickIndex& pick_index() const { return pick_; }
+
   /// True when VM type `vm_type` has at least one feasible anti-collocation
   /// placement on PM `i` right now.
   bool fits(PmIndex i, std::size_t vm_type) const;
@@ -233,7 +248,8 @@ class Datacenter {
 
   std::size_t vm_count() const { return vm_index_.size(); }
 
-  /// Resets every PM to empty (keeps the catalog and PM fleet).
+  /// Resets every PM to empty (keeps the catalog, PM fleet and any attached
+  /// pick index, which goes empty with the fleet).
   void clear();
 
   /// Binary snapshot of the full ledger state: PM fleet, every placed VM
@@ -246,14 +262,18 @@ class Datacenter {
   /// Rebuilds a datacenter from a serialize() stream. Placements are
   /// re-applied in activation order through the normal place() path, so
   /// every index invariant holds on the restored ledger and the activation
-  /// sequence numbers / counter match the serialized original exactly.
-  /// Throws on malformed input or a catalog mismatch.
+  /// sequence numbers / counter match the serialized original exactly. The
+  /// result has no pick index attached. Throws on malformed input or a
+  /// catalog mismatch.
   static Datacenter deserialize(Catalog catalog, std::istream& is);
 
   /// Verifies every placement-index invariant against the ledger (buckets
   /// partition the used PMs by canonical key, intrusive lists and counts
   /// agree, residual summaries match the keys, free-list matches, activation
-  /// order matches used_pms()). Test hook; throws on violation.
+  /// order matches used_pms()) and, when attached, the pick index (every
+  /// leaf matches the ledger, every node the winner of its children, and
+  /// each root the first best PM of a linear scan over used_pms()). Test
+  /// hook; throws on violation.
   void check_index_invariants() const;
 
  private:
@@ -277,6 +297,8 @@ class Datacenter {
   void remove_from_bucket(PmIndex i);
   void mark_used(PmIndex i);
   void mark_unused(PmIndex i);
+  void refresh_pick(PmIndex i);
+  void check_pick_index() const;
 
   Catalog catalog_;
   std::vector<PmState> pms_;
@@ -292,6 +314,8 @@ class Datacenter {
   std::vector<std::uint64_t> activation_seq_;  // per PM: valid while used
   std::vector<std::uint64_t> unused_bits_;     // bitmap, 1 = unused
   std::uint64_t next_activation_ = 0;
+
+  PickIndex pick_;  // Algorithm 2's pick; maintained only while attached
 };
 
 }  // namespace prvm

@@ -7,11 +7,10 @@
 // best successor.
 //
 // Storage is flat and demand-major: best_[slot * n + node] so one VM type's
-// entries are one contiguous block (the indexed engine's fallback sweep
-// walks a fixed slot across nodes, and extending the table with new VM
-// types appends whole blocks); the per-demand score rankings live in a
-// single arena addressed by offset spans. Both make every hot access a
-// plain array load and every entry 8 (BestEntry) or 16 (RankedKey) bytes.
+// entries are one contiguous block (the datacenter's pick index reads one
+// row per VM type, the constrained sweep walks a fixed slot across nodes,
+// and extending the table with new VM types appends whole blocks). Every
+// hot access is a plain array load of an 8-byte BestEntry.
 //
 // The table is self-contained after build (the graph can be discarded) and
 // has three persistence forms: save()/load() (owned binary cache, because
@@ -122,18 +121,6 @@ class ScoreTable {
   /// resolution; check entry.successor != kNoFit).
   std::span<const BestEntry> best_row(std::size_t demand_index) const;
 
-  /// One entry of the per-VM-type score ranking (see ranked_keys()).
-  struct RankedKey {
-    float score = 0.0F;  ///< best_after score of placing the VM type here
-    ProfileKey key = 0;  ///< the current (pre-placement) profile
-  };
-
-  /// Every profile that can accommodate VM type `demand_index`, sorted by
-  /// best_after score descending (ties by key, for determinism). The indexed
-  /// Algorithm 2 walks this ranking and takes the first entry with a live
-  /// PM bucket, instead of scoring every used PM.
-  std::span<const RankedKey> ranked_keys(std::size_t demand_index) const;
-
   /// Diagnostics from the build.
   int pagerank_iterations() const { return iterations_; }
   bool pagerank_converged() const { return converged_; }
@@ -144,8 +131,8 @@ class ScoreTable {
   static ScoreTable load(const std::filesystem::path& path);
 
   /// Read-only image persistence: save_image() writes every array (keys,
-  /// scores, best entries, ranked arena, hash index) into one page-aligned
-  /// file; map_image() mmaps it MAP_SHARED|PROT_READ and serves every
+  /// scores, best entries, hash index) into one page-aligned file;
+  /// map_image() mmaps it MAP_SHARED|PROT_READ and serves every
   /// accessor straight from the mapping — multiple processes mapping the
   /// same file share one physical copy of the table. The mapping is held by
   /// the returned table (and any copies of it) until the last one dies.
@@ -168,11 +155,10 @@ class ScoreTable {
   ScoreTable() = default;
 
   /// Computes the best-successor block of demand `t` into best_ (which must
-  /// already span [t * n, (t+1) * n)), then its ranked span. `scores` are
-  /// the float scores the comparisons run on (identical between build and
-  /// extend, which is what makes extend byte-identical).
+  /// already span [t * n, (t+1) * n)). The comparisons run on the stored
+  /// float scores (identical between build and extend, which is what makes
+  /// extend byte-identical).
   void fill_demand_block(const ProfileGraph& graph, std::size_t t);
-  void build_ranked_block(std::size_t t);
 
   /// An open mmap; shared_ptr so copies of a mapped table stay cheap and
   /// the mapping lives exactly as long as someone serves from it.
@@ -182,12 +168,6 @@ class ScoreTable {
   const ProfileKey* keys_data() const { return image_ ? img_keys_ : keys_.data(); }
   const float* scores_data() const { return image_ ? img_scores_ : scores_.data(); }
   const BestEntry* best_data() const { return image_ ? img_best_ : best_.data(); }
-  const std::uint64_t* ranked_offsets_data() const {
-    return image_ ? img_ranked_offsets_ : ranked_offsets_.data();
-  }
-  const RankedKey* ranked_arena_data() const {
-    return image_ ? img_ranked_arena_ : ranked_arena_.data();
-  }
   const NodeId* index_find(ProfileKey key) const {
     return image_ ? index_view_.find(key) : index_.find(key);
   }
@@ -198,8 +178,6 @@ class ScoreTable {
   std::vector<ProfileKey> keys_;
   std::vector<float> scores_;
   std::vector<BestEntry> best_;  ///< demand-major: [demand * node_count_ + node]
-  std::vector<RankedKey> ranked_arena_;
-  std::vector<std::uint64_t> ranked_offsets_;  ///< [demand_count_ + 1] into the arena
   FlatMap64<NodeId> index_;
   std::string digest_;
   int iterations_ = 0;
@@ -210,8 +188,6 @@ class ScoreTable {
   const ProfileKey* img_keys_ = nullptr;
   const float* img_scores_ = nullptr;
   const BestEntry* img_best_ = nullptr;
-  const std::uint64_t* img_ranked_offsets_ = nullptr;
-  const RankedKey* img_ranked_arena_ = nullptr;
   FlatMap64View<NodeId> index_view_;
 };
 

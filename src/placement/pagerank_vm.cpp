@@ -19,7 +19,9 @@ PageRankVm::PageRankVm(std::shared_ptr<const ScoreTableSet> tables, PageRankVmOp
   m_.place_calls = &reg.counter("prvm_engine_place_total");
   m_.linear_scored = &reg.counter("prvm_engine_linear_scored_total");
   m_.score_lookups = &reg.counter("prvm_engine_score_lookups_total");
-  m_.index_probes = &reg.counter("prvm_engine_index_probes_total");
+  // Registered for the dashboards and benchmarks that read it; the
+  // winner-tree pick does no probing, so it stays 0.
+  reg.counter("prvm_engine_index_probes_total");
   m_.rep_cache_hits = &reg.counter("prvm_engine_rep_cache_hits_total");
   m_.rep_cache_misses = &reg.counter("prvm_engine_rep_cache_misses_total");
 }
@@ -195,113 +197,16 @@ std::optional<PmIndex> PageRankVm::pick_linear(Datacenter& dc, const Vm& vm,
   return best_pm;
 }
 
-std::optional<double> PageRankVm::type_top(const Datacenter& dc, std::size_t pm_type,
-                                           const ScoreTable& table, std::size_t slot,
-                                           std::uint64_t need,
-                                           std::vector<Datacenter::BucketView>& out) const {
-  out.clear();
-
-  // Phase A: walk the score-ranked profile keys and take the first (tie
-  // band of) live bucket(s). A fleet under load usually keeps its
-  // highest-ranked profiles live, so a few probes settle it; past the
-  // budget, the contiguous phase-B sweep is cheaper than continued hash
-  // probing. Both phases compute the same top score and tie band, so the
-  // budget is decision-invariant.
-  const auto ranked = table.ranked_keys(slot);
-  const std::size_t initial_budget =
-      std::min<std::size_t>(dc.used_bucket_count(pm_type), options_.phase_a_budget);
-  std::size_t budget = initial_budget;
-  float top = 0.0F;
-  bool bailed = false;
-  for (const ScoreTable::RankedKey& rk : ranked) {
-    if (!out.empty() && rk.score != top) break;  // past the winning tie band
-    if (budget == 0) {
-      bailed = true;
-      break;
-    }
-    --budget;
-    const Datacenter::BucketView bucket = dc.used_bucket(pm_type, rk.key);
-    if (bucket.empty()) continue;
-    if (out.empty()) top = rk.score;
-    out.push_back(bucket);
-  }
-  m_.index_probes->add(initial_budget - budget);
-  if (!bailed) {
-    if (out.empty()) return std::nullopt;
-    return static_cast<double>(top);
-  }
-
-  // Phase B: one linear sweep over the dense bucket arrays. The residual
-  // mask rejects buckets whose free capacity certainly cannot absorb the
-  // demand without touching the hash index or the score table; survivors
-  // resolve their node once and read the demand-major best row directly.
-  out.clear();
-  const std::span<const ProfileKey> keys = dc.bucket_keys(pm_type);
-  const std::span<const std::uint64_t> residuals = dc.bucket_residuals(pm_type);
-  const std::span<const ScoreTable::BestEntry> row = table.best_row(slot);
-  std::uint64_t lookups = 0;
-  float best = 0.0F;
-  bool found = false;
-  for (std::size_t s = 0; s < keys.size(); ++s) {
-    if (!resmask::may_fit(residuals[s], need)) continue;
-    ++lookups;
-    const auto node = table.node_of(keys[s]);
-    PRVM_CHECK(node.has_value(), "live profile missing from score table");
-    const ScoreTable::BestEntry entry = row[*node];
-    if (entry.successor == ScoreTable::kNoFit) continue;
-    if (!found || entry.score > best) {
-      found = true;
-      best = entry.score;
-      out.clear();
-      out.push_back(dc.bucket_at(pm_type, s));
-    } else if (entry.score == best) {
-      out.push_back(dc.bucket_at(pm_type, s));
-    }
-  }
-  m_.score_lookups->add(lookups);
-  if (!found) return std::nullopt;
-  return static_cast<double>(best);
+void PageRankVm::attach_index(Datacenter& dc) const {
+  if (indexed() && dc.pick_index().tables() != tables_.get()) dc.attach_pick_index(tables_);
 }
 
 bool PageRankVm::pick_indexed(const Datacenter& dc, std::size_t vm_type, PmIndex& out_pm,
                               double& out_score) {
-  ensure_masks(dc);
-  tied_.clear();
-  bool found = false;
-  double best_score = 0.0;
-  for (std::size_t t = 0; t < dc.catalog().pm_types().size(); ++t) {
-    if (dc.used_count_of_type(t) == 0) continue;
-    const auto slot = tables_->demand_slot(t, vm_type);
-    if (!slot.has_value()) continue;
-    const auto score = type_top(dc, t, tables_->table(t), *slot,
-                                need_masks_[t * mask_vm_types_ + vm_type], type_tied_);
-    if (!score.has_value()) continue;
-    if (!found || *score > best_score) {
-      found = true;
-      best_score = *score;
-      tied_.assign(type_tied_.begin(), type_tied_.end());
-    } else if (*score == best_score) {
-      tied_.insert(tied_.end(), type_tied_.begin(), type_tied_.end());
-    }
-  }
-  if (!found) return false;
-
-  // The linear scan keeps the first maximal candidate in used order, which
-  // is exactly the minimum activation sequence among the tied buckets.
-  PmIndex winner = Datacenter::kNoPm;
-  std::uint64_t winner_seq = 0;
-  for (const Datacenter::BucketView& bucket : tied_) {
-    for (const PmIndex i : bucket) {
-      const std::uint64_t seq = dc.activation_seq(i);
-      if (winner == Datacenter::kNoPm || seq < winner_seq) {
-        winner = i;
-        winner_seq = seq;
-      }
-    }
-  }
-  PRVM_CHECK(winner != Datacenter::kNoPm, "tied bucket set was empty");
-  out_pm = winner;
-  out_score = best_score;
+  const PickIndex::Entry& top = dc.pick_index().top(vm_type);
+  if (top.empty()) return false;
+  out_pm = top.pm;
+  out_score = static_cast<double>(top.score);
   return true;
 }
 
@@ -365,11 +270,12 @@ std::optional<PmIndex> PageRankVm::place(Datacenter& dc, const Vm& vm,
                                          const PlacementConstraints& constraints) {
   m_.place_calls->inc();
   std::optional<PmIndex> best_pm;
-  if (!options_.use_index || options_.two_choice) {
+  if (!indexed()) {
     // 2-choice must sample with the exact RNG stream of the linear engine,
     // so it shares the linear candidate path even when indexing is on.
     best_pm = pick_linear(dc, vm, constraints);
   } else {
+    attach_index(dc);
     PmIndex pm = 0;
     double score = 0.0;
     const bool picked = (!constraints.exclude.has_value() && !constraints.allow)
@@ -396,8 +302,9 @@ std::optional<PmIndex> PageRankVm::place(Datacenter& dc, const Vm& vm,
 bool PageRankVm::speculate(const Datacenter& dc, const Vm& vm,
                            const PlacementConstraints& constraints, Speculation& out) {
   // The linear scan and 2-choice sampling depend on the scan/RNG stream of
-  // the committing engine, which speculation cannot reproduce.
-  if (!options_.use_index || options_.two_choice) return false;
+  // the committing engine, which speculation cannot reproduce; a const dc
+  // without this engine's pick index cannot be indexed here either.
+  if (!indexed() || dc.pick_index().tables() != tables_.get()) return false;
   m_.place_calls->inc();
   PmIndex pm = 0;
   double score = 0.0;

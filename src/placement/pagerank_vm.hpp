@@ -11,18 +11,19 @@
 //
 // Two engines implement the scan. The legacy linear engine scores every
 // used PM (O(fleet) per VM, the paper's Algorithm 2 as printed). The
-// indexed engine (default) exploits that the score depends only on
-// (PM type, canonical profile, VM type): per PM type it first probes the
-// score table's ranked key list against the live buckets (phase A — a
-// handful of hash probes when a top-ranked profile is live), then falls
-// back to a contiguous sweep of the datacenter's struct-of-arrays bucket
-// index, prefiltered by the branchless residual mask, reading scores
-// straight out of the table's demand-major best row (phase B). Both phases
-// compute the same maximum; the budget only picks the cheaper path.
-// Tie-breaking is pinned to activation order, making the chosen PM
-// identical to the linear scan for every VM (asserted by the differential
-// test). All per-pick state lives in engine-owned scratch, so steady-state
-// picks are allocation-free (asserted by the counting-allocator test).
+// indexed engine (default) reads the pick off the datacenter's PickIndex:
+// one winner tree per VM type over all PMs, keyed by best-successor score
+// with the lower activation sequence winning ties — exactly the linear
+// scan's "first maximal PM in used order" — so an unconstrained pick is one
+// root read, and the datacenter pays O(V log N) per place()/remove() to
+// keep the trees exact. place() attaches the engine's score tables to a
+// datacenter that has none or another set. Constrained picks (migration
+// re-placement with exclude/allow) sweep the datacenter's struct-of-arrays
+// bucket index instead, prefiltered by the branchless residual mask. The
+// chosen PM is identical to the linear scan for every VM (asserted by the
+// differential test). All per-pick state lives in engine-owned scratch, so
+// steady-state picks are allocation-free (asserted by the counting-allocator
+// test).
 #pragma once
 
 #include <cstdint>
@@ -41,13 +42,9 @@ namespace prvm {
 struct PageRankVmOptions {
   bool two_choice = false;  ///< sample 2 used PMs instead of scanning all
   std::uint64_t seed = 1;   ///< RNG seed for 2-choice sampling
-  /// Use the bucketed placement index (same placements, near-O(1) per VM).
+  /// Use the datacenter's pick index (same placements, O(1) pick per VM).
   /// Off = the literal linear scan, kept for differential tests/ablation.
   bool use_index = true;
-  /// Ranked-key probes per PM type before the indexed scan falls back to the
-  /// contiguous bucket sweep. Decision-invariant (both paths compute the
-  /// same answer); exposed for benchmarking only.
-  std::uint32_t phase_a_budget = 16;
   /// Registry for the engine's prvm_engine_* counters (score lookups, index
   /// probes, rep-cache hits). Null = obs::Registry::global().
   obs::Registry* metrics = nullptr;
@@ -83,10 +80,11 @@ class PageRankVm final : public PlacementAlgorithm {
   };
 
   /// Allocation-free form: fills `out` (whose vectors are reused across
-  /// calls) and returns true on a decision. Returns false when no PM fits or
-  /// when the engine options (linear scan, 2-choice sampling) make
-  /// speculation unsupported — either way the caller must fall back to the
-  /// serial place() path.
+  /// calls) and returns true on a decision. Returns false when no PM fits,
+  /// when `dc` has no pick index attached for this engine's tables, or when
+  /// the engine options (linear scan, 2-choice sampling) make speculation
+  /// unsupported — in every case the caller must fall back to the serial
+  /// place() path.
   bool speculate(const Datacenter& dc, const Vm& vm, const PlacementConstraints& constraints,
                  Speculation& out);
 
@@ -107,6 +105,12 @@ class PageRankVm final : public PlacementAlgorithm {
 
   const ScoreTableSet& tables() const { return *tables_; }
 
+  /// Attaches this engine's score tables to `dc`'s pick index unless they
+  /// already are (a no-op for the linear and 2-choice engines, which never
+  /// read it). place() does this itself; callers that speculate on a
+  /// freshly recovered datacenter call it once up front.
+  void attach_index(Datacenter& dc) const;
+
  private:
   /// Places `vm` on PM `i` using the permutation whose canonical outcome has
   /// the highest score (via the representative cache when indexing is on).
@@ -116,22 +120,19 @@ class PageRankVm final : public PlacementAlgorithm {
   std::optional<PmIndex> pick_linear(Datacenter& dc, const Vm& vm,
                                      const PlacementConstraints& constraints);
 
-  /// Indexed engine, no constraints: best PM via the profile buckets. On
+  /// True when place() and speculate() pick through the datacenter's index.
+  bool indexed() const { return options_.use_index && !options_.two_choice; }
+
+  /// Indexed engine, no constraints: the root of `dc`'s pick tree for
+  /// `vm_type` (the index must be attached to this engine's tables). On
   /// success also reports the winning score (saves the caller a lookup).
-  bool pick_indexed(const Datacenter& dc, std::size_t vm_type, PmIndex& out_pm,
-                    double& out_score);
+  static bool pick_indexed(const Datacenter& dc, std::size_t vm_type, PmIndex& out_pm,
+                           double& out_score);
 
   /// Indexed engine with exclude/allow constraints (migration re-placement).
   bool pick_indexed_constrained(const Datacenter& dc, std::size_t vm_type,
                                 const PlacementConstraints& constraints, PmIndex& out_pm,
                                 double& out_score);
-
-  /// Top score of `pm_type`'s live profiles for demand `slot` and the
-  /// bucket(s) attaining it; nullopt when no live profile fits the VM.
-  /// `need` is the VM's packed resmask demand on this PM type.
-  std::optional<double> type_top(const Datacenter& dc, std::size_t pm_type,
-                                 const ScoreTable& table, std::size_t slot, std::uint64_t need,
-                                 std::vector<Datacenter::BucketView>& out) const;
 
   /// Lazily builds need_masks_ from the first datacenter seen (an engine
   /// serves one catalog — the score tables are already per-catalog).
@@ -155,7 +156,6 @@ class PageRankVm final : public PlacementAlgorithm {
     obs::Counter* place_calls = nullptr;     ///< place() invocations
     obs::Counter* linear_scored = nullptr;   ///< PMs scored by the legacy scan
     obs::Counter* score_lookups = nullptr;   ///< best-successor table lookups
-    obs::Counter* index_probes = nullptr;    ///< ranked-key bucket probes (phase A)
     obs::Counter* rep_cache_hits = nullptr;  ///< best-permutation cache hits
     obs::Counter* rep_cache_misses = nullptr;
   };
@@ -171,8 +171,6 @@ class PageRankVm final : public PlacementAlgorithm {
 
   // Scratch and caches for the indexed engine (one engine per thread; these
   // make place() non-reentrant but allocation-free at steady state).
-  std::vector<Datacenter::BucketView> tied_;
-  std::vector<Datacenter::BucketView> type_tied_;
   std::vector<ScoredBucket> scored_;
   std::vector<std::uint64_t> need_masks_;  ///< [pm_type * vm_types + vm_type]
   std::size_t mask_vm_types_ = 0;

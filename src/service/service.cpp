@@ -114,6 +114,9 @@ PlacementService::PlacementService(Catalog catalog, std::vector<std::size_t> fle
     // A broken disk at boot is survivable: serve reads, probe for storage.
     if (!wal_->healthy()) enter_degraded(wal_->open_status());
   }
+  // Recovery replays through the bare ledger, which skips the pick index;
+  // attach it once here so the first batch can already speculate.
+  engine_->attach_index(dc_);
   if (!config_.repl.replicas.empty()) {
     repl_ = std::make_unique<ReplicationSender>(config_.repl.replicas, metrics_.get(),
                                                 config_.repl.ack_timeout_ms);

@@ -46,6 +46,7 @@ void operator delete[](void* p, std::size_t, std::align_val_t) noexcept { std::f
 #include "core/catalog_graphs.hpp"
 #include "placement/pagerank_vm.hpp"
 #include "service/binary_protocol.hpp"
+#include "sim/simulator.hpp"
 #include "service/protocol.hpp"
 
 #include <gtest/gtest.h>
@@ -53,10 +54,16 @@ void operator delete[](void* p, std::size_t, std::align_val_t) noexcept { std::f
 namespace prvm {
 namespace {
 
+/// EC2 score tables, built once per process (uncached, so no disk IO).
+std::shared_ptr<const ScoreTableSet> ec2_tables() {
+  static const auto tables = std::make_shared<const ScoreTableSet>(
+      build_score_tables(ec2_sim_catalog(), {}, std::nullopt));
+  return tables;
+}
+
 TEST(EngineAlloc, WarmSpeculateIsAllocationFree) {
   const Catalog catalog = ec2_sim_catalog();
-  const auto tables =
-      std::make_shared<const ScoreTableSet>(build_score_tables(catalog, {}, std::nullopt));
+  const auto tables = ec2_tables();
   Datacenter dc(catalog, std::vector<std::size_t>(64, 0));
   PageRankVm engine(tables, {});
 
@@ -70,6 +77,9 @@ TEST(EngineAlloc, WarmSpeculateIsAllocationFree) {
     if (!engine.place(dc, vm).has_value()) break;
   }
   ASSERT_GT(dc.used_count(), 0u);
+  // place() attached the engine's tables: speculate() below reads the pick
+  // index rather than declining the unattached datacenter.
+  ASSERT_EQ(dc.pick_index().tables(), tables.get());
 
   const PlacementConstraints constraints;
   PageRankVm::Speculation spec;
@@ -98,6 +108,41 @@ TEST(EngineAlloc, WarmSpeculateIsAllocationFree) {
   const std::size_t after = g_allocations.load(std::memory_order_relaxed);
   EXPECT_EQ(after, before) << "speculate() allocated " << (after - before)
                            << " times across 50 warm rounds";
+}
+
+// The pick index is sized once, when place() attaches it: keeping the trees
+// exact across place()/remove() churn rewrites entries in place and never
+// grows, shrinks or moves their storage.
+TEST(EngineAlloc, PickIndexStorageIsStableAcrossChurn) {
+  const Catalog catalog = ec2_sim_catalog();
+  const auto tables = ec2_tables();
+  Datacenter dc(catalog, mixed_pm_fleet(catalog, 300));
+  PageRankVm engine(tables, {});
+  Rng rng(23);
+  const std::vector<double> mix = default_vm_mix(catalog);
+  VmId next_id = 1;
+  std::vector<VmId> live;
+  ASSERT_TRUE(engine.place(dc, Vm{next_id++, 0}).has_value());
+  live.push_back(1);
+  const PickIndex::Entry* data = dc.pick_index().nodes().data();
+  const std::size_t capacity = dc.pick_index().nodes().capacity();
+
+  for (int op = 0; op < 10000; ++op) {
+    // Fill towards saturation first, then release+place at it.
+    if (live.size() > 1500 || (live.size() > 1000 && rng.uniform_index(2) == 0)) {
+      const std::size_t pick = rng.uniform_index(live.size());
+      dc.remove(live[pick]);
+      live[pick] = live.back();
+      live.pop_back();
+    } else {
+      const Vm vm{next_id++, rng.weighted_index(mix)};
+      if (engine.place(dc, vm).has_value()) live.push_back(vm.id);
+    }
+    ASSERT_EQ(dc.pick_index().nodes().data(), data) << "pick index storage moved at op " << op;
+    ASSERT_EQ(dc.pick_index().nodes().capacity(), capacity);
+  }
+  ASSERT_GT(dc.used_count(), 100u);
+  dc.check_index_invariants();
 }
 
 // The cell channel's submit path (cell_channel.cpp) encodes every request

@@ -9,7 +9,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <memory>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "cluster/catalog.hpp"
@@ -22,67 +25,173 @@
 namespace prvm {
 namespace {
 
-std::shared_ptr<const ScoreTableSet> tables_for(const Catalog& catalog) {
+std::shared_ptr<const ScoreTableSet> tables_for(const Catalog& catalog,
+                                               const ScoreTableOptions& options = {}) {
   // The default on-disk cache keeps repeated test runs fast (EC2-scale
   // graphs take a moment to build the first time).
-  return std::make_shared<const ScoreTableSet>(build_score_tables(catalog));
+  return std::make_shared<const ScoreTableSet>(build_score_tables(catalog, options));
+}
+
+std::uint64_t get_u64(const std::string& bytes, std::size_t& at) {
+  std::uint64_t v = 0;
+  for (int i = 0; i < 8; ++i) {
+    v |= static_cast<std::uint64_t>(static_cast<unsigned char>(bytes[at + i])) << (8 * i);
+  }
+  at += 8;
+  return v;
+}
+
+void put_u64(std::string& bytes, std::size_t at, std::uint64_t v) {
+  for (int i = 0; i < 8; ++i) bytes[at + i] = static_cast<char>((v >> (8 * i)) & 0xFF);
+}
+
+/// dc's serialize() stream with every activation sequence number and the
+/// activation counter shifted up by `offset` (relative order unchanged).
+std::string rebased_snapshot(const Datacenter& dc, std::uint64_t offset) {
+  std::ostringstream os;
+  dc.serialize(os);
+  std::string bytes = os.str();
+  const auto shift = [&](std::size_t& at) {
+    const std::size_t field = at;
+    put_u64(bytes, field, get_u64(bytes, at) + offset);
+  };
+  std::size_t at = 8;  // magic
+  const std::uint64_t pms = get_u64(bytes, at);
+  at += 8 * pms;  // PM types
+  shift(at);      // activation counter
+  const std::uint64_t used = get_u64(bytes, at);
+  for (std::uint64_t u = 0; u < used; ++u) {
+    at += 8;  // PM index
+    shift(at);
+    const std::uint64_t vms = get_u64(bytes, at);
+    for (std::uint64_t v = 0; v < vms; ++v) {
+      at += 16;  // VM id, type
+      const std::uint64_t assignments = get_u64(bytes, at);
+      at += 16 * assignments;
+    }
+  }
+  EXPECT_EQ(at, bytes.size());
+  return bytes;
 }
 
 /// Two datacenters driven in lockstep: one by the indexed engine, one by the
 /// legacy linear scan. Every operation asserts both made the same decision.
+/// Engine pair k (add_engines) runs on score tables of its own, so switching
+/// pairs forces the indexed datacenter to re-attach its pick index.
 class TwinRun {
  public:
   TwinRun(const Catalog& catalog, std::size_t fleet, std::uint64_t engine_seed,
           bool two_choice)
-      : indexed_dc_(catalog, mixed_pm_fleet(catalog, fleet)),
-        linear_dc_(catalog, mixed_pm_fleet(catalog, fleet)),
-        tables_(tables_for(catalog)),
-        indexed_(tables_, {two_choice, engine_seed, /*use_index=*/true}),
-        linear_(tables_, {two_choice, engine_seed, /*use_index=*/false}) {}
+      : catalog_(catalog),
+        fleet_(mixed_pm_fleet(catalog, fleet)),
+        indexed_dc_(std::make_unique<Datacenter>(catalog, fleet_)),
+        linear_dc_(catalog, fleet_),
+        engine_seed_(engine_seed),
+        two_choice_(two_choice) {
+    add_engines(tables_for(catalog));
+  }
 
-  /// Places `vm` through both engines; returns whether it was placed.
-  bool place(const Vm& vm, const PlacementConstraints& constraints = {}) {
-    const auto a = indexed_.place(indexed_dc_, vm, constraints);
-    const auto b = linear_.place(linear_dc_, vm, constraints);
+  void add_engines(std::shared_ptr<const ScoreTableSet> tables) {
+    indexed_.push_back(std::make_unique<PageRankVm>(
+        tables, PageRankVmOptions{two_choice_, engine_seed_, /*use_index=*/true}));
+    linear_.push_back(std::make_unique<PageRankVm>(
+        tables, PageRankVmOptions{two_choice_, engine_seed_, /*use_index=*/false}));
+    tables_.push_back(std::move(tables));
+  }
+
+  /// Places `vm` through engine pair `engine`; returns whether it was placed.
+  bool place(const Vm& vm, const PlacementConstraints& constraints = {},
+             std::size_t engine = 0) {
+    const auto a = indexed_[engine]->place(*indexed_dc_, vm, constraints);
+    const auto b = linear_[engine]->place(linear_dc_, vm, constraints);
     EXPECT_EQ(a, b) << "engines disagree on the PM for VM " << vm.id;
     if (a.has_value() && b.has_value()) {
       // Concrete dimension assignments may be permuted differently, but the
       // canonical profile of the chosen PM must be identical — otherwise the
       // trajectories would drift apart on later VMs.
-      EXPECT_EQ(indexed_dc_.pm(*a).canonical_key, linear_dc_.pm(*b).canonical_key)
+      EXPECT_EQ(indexed_dc_->pm(*a).canonical_key, linear_dc_.pm(*b).canonical_key)
           << "canonical profiles diverged on PM " << *a << " after VM " << vm.id;
+    }
+    if (!two_choice_) {
+      EXPECT_EQ(indexed_dc_->pick_index().tables(), tables_[engine].get())
+          << "the indexed engine did not attach its tables";
     }
     return a.has_value();
   }
 
   void remove(VmId id) {
-    const auto a = indexed_dc_.pm_of(id);
+    const auto a = indexed_dc_->pm_of(id);
     const auto b = linear_dc_.pm_of(id);
     ASSERT_EQ(a, b);
-    indexed_dc_.remove(id);
+    indexed_dc_->remove(id);
     linear_dc_.remove(id);
   }
 
   void check() const {
-    indexed_dc_.check_index_invariants();
-    ASSERT_EQ(indexed_dc_.used_pms(), linear_dc_.used_pms());
-    ASSERT_EQ(indexed_dc_.vm_count(), linear_dc_.vm_count());
+    indexed_dc_->check_index_invariants();
+    ASSERT_EQ(indexed_dc_->used_pms(), linear_dc_.used_pms());
+    ASSERT_EQ(indexed_dc_->vm_count(), linear_dc_.vm_count());
   }
 
-  Datacenter& indexed_dc() { return indexed_dc_; }
+  // Mid-run replacements of the indexed datacenter; the run continues on
+  // the replacement and must keep matching the untouched linear twin.
+
+  void copy_construct() { indexed_dc_ = std::make_unique<Datacenter>(*indexed_dc_); }
+
+  void copy_assign() {
+    // The target is attached and busy with state of its own first.
+    auto target = std::make_unique<Datacenter>(catalog_, fleet_);
+    indexed_[0]->place(*target, Vm{~VmId{0}, 0});
+    *target = *indexed_dc_;
+    indexed_dc_ = std::move(target);
+  }
+
+  void reload() {
+    std::stringstream stream;
+    indexed_dc_->serialize(stream);
+    *indexed_dc_ = Datacenter::deserialize(catalog_, stream);
+    ASSERT_FALSE(indexed_dc_->pick_index().attached());
+    // A reader must not trust a datacenter without the pick index.
+    PageRankVm::Speculation spec;
+    EXPECT_FALSE(indexed_[0]->speculate(*indexed_dc_, Vm{~VmId{0}, 0}, {}, spec));
+  }
+
+  void clear() {
+    indexed_dc_->clear();
+    linear_dc_.clear();
+  }
+
+  /// Reloads both twins with activation sequence numbers moved up by
+  /// `offset`.
+  void rebase_activation(std::uint64_t offset) {
+    std::istringstream a(rebased_snapshot(*indexed_dc_, offset));
+    std::istringstream b(rebased_snapshot(linear_dc_, offset));
+    *indexed_dc_ = Datacenter::deserialize(catalog_, a);
+    linear_dc_ = Datacenter::deserialize(catalog_, b);
+  }
+
+  Datacenter& indexed_dc() { return *indexed_dc_; }
 
  private:
-  Datacenter indexed_dc_;
+  Catalog catalog_;
+  std::vector<std::size_t> fleet_;
+  std::unique_ptr<Datacenter> indexed_dc_;
   Datacenter linear_dc_;
-  std::shared_ptr<const ScoreTableSet> tables_;
-  PageRankVm indexed_;
-  PageRankVm linear_;
+  std::uint64_t engine_seed_;
+  bool two_choice_;
+  std::vector<std::shared_ptr<const ScoreTableSet>> tables_;
+  std::vector<std::unique_ptr<PageRankVm>> indexed_;
+  std::vector<std::unique_ptr<PageRankVm>> linear_;
 };
+
+/// Called before step `step` of a churn run; may replace state and must
+/// keep `live` in sync with what it does to the datacenters.
+using MidRun = std::function<void(TwinRun&, std::size_t step, std::vector<VmId>& live)>;
 
 /// Streams `total` placements with steady removal churn through both
 /// engines, asserting identical decisions throughout.
 void run_churn_differential(const Catalog& catalog, std::size_t fleet, std::size_t total,
-                            std::uint64_t seed, bool two_choice) {
+                            std::uint64_t seed, bool two_choice, const MidRun& mid_run = {}) {
   TwinRun twin(catalog, fleet, /*engine_seed=*/seed, two_choice);
   Rng rng(seed);
   const std::vector<double> mix = default_vm_mix(catalog);
@@ -92,6 +201,7 @@ void run_churn_differential(const Catalog& catalog, std::size_t fleet, std::size
   const std::size_t live_cap = 3 * fleet / 2;
   std::vector<VmId> live;
   for (std::size_t step = 0; step < vms.size(); ++step) {
+    if (mid_run) mid_run(twin, step, live);
     while (live.size() >= live_cap || (!live.empty() && rng.uniform_index(4) == 0)) {
       const std::size_t pick = rng.uniform_index(live.size());
       twin.remove(live[pick]);
@@ -166,6 +276,105 @@ TEST(PlacementIndexDifferential, MigrationReplacementMatchesLinearScan) {
     if (::testing::Test::HasFailure()) return;
   }
   twin.check();
+}
+
+TEST(PlacementIndexDifferential, SaturatedNonPowerOfTwoFleetMatchesLinearScan) {
+  // 2049 leaves: the winner trees' implicit heap is as lopsided as it gets
+  // (one leaf past a power of two). Fill to saturation, then churn at it.
+  const Catalog catalog = ec2_sim_catalog();
+  const std::size_t fleet = 2049;
+  TwinRun twin(catalog, fleet, /*engine_seed=*/1, /*two_choice=*/false);
+  Rng rng(2049);
+  const std::vector<double> mix = default_vm_mix(catalog);
+  std::vector<VmId> live;
+  VmId next_id = 1;
+  for (std::size_t streak = 0; streak < 32;) {
+    const Vm vm{next_id++, rng.weighted_index(mix)};
+    if (twin.place(vm)) {
+      live.push_back(vm.id);
+      streak = 0;
+    } else {
+      ++streak;
+    }
+    if (::testing::Test::HasFailure()) return;
+  }
+  EXPECT_EQ(twin.indexed_dc().used_count(), fleet);
+  twin.check();
+  for (int pair = 0; pair < 3000; ++pair) {
+    const std::size_t pick = rng.uniform_index(live.size());
+    twin.remove(live[pick]);
+    live[pick] = live.back();
+    live.pop_back();
+    const Vm vm{next_id++, rng.weighted_index(mix)};
+    if (twin.place(vm)) live.push_back(vm.id);
+    if (pair % 1000 == 0) twin.check();
+    if (::testing::Test::HasFailure()) return;
+  }
+  twin.check();
+}
+
+TEST(PlacementIndexDifferential, SurvivesDatacenterCopiesReloadAndClear) {
+  // Each replacement lands mid-run on a loaded fleet; the pick index must
+  // travel with copies, be rebuilt after a reload, and empty on clear().
+  run_churn_differential(
+      ec2_sim_catalog(), /*fleet=*/300, /*total=*/3000, /*seed=*/61, /*two_choice=*/false,
+      [](TwinRun& twin, std::size_t step, std::vector<VmId>& live) {
+        switch (step) {
+          case 500: twin.copy_construct(); break;
+          case 1000: twin.copy_assign(); break;
+          case 1500: twin.reload(); break;
+          case 2000:
+            twin.clear();
+            live.clear();
+            break;
+          default: return;
+        }
+        twin.check();
+      });
+}
+
+TEST(PlacementIndexDifferential, TwoTableSetsReattachOnOneDatacenter) {
+  // Two engine pairs with different score tables alternate on the same
+  // datacenters: every switch re-attaches the pick index to the other set.
+  const Catalog catalog = ec2_sim_catalog();
+  ScoreTableOptions forward;
+  forward.direction = VoteDirection::kForwardAsPrinted;
+  TwinRun twin(catalog, /*fleet=*/200, /*engine_seed=*/3, /*two_choice=*/false);
+  twin.add_engines(tables_for(catalog, forward));
+  Rng rng(33);
+  const std::vector<Vm> vms = weighted_vm_requests(rng, catalog, 2000, default_vm_mix(catalog));
+  std::vector<VmId> live;
+  for (std::size_t step = 0; step < vms.size(); ++step) {
+    if (live.size() >= 300 || (!live.empty() && rng.uniform_index(3) == 0)) {
+      const std::size_t pick = rng.uniform_index(live.size());
+      twin.remove(live[pick]);
+      live[pick] = live.back();
+      live.pop_back();
+    }
+    if (twin.place(vms[step], {}, /*engine=*/(step / 3) % 2)) live.push_back(vms[step].id);
+    if (step % 250 == 0) twin.check();
+    if (::testing::Test::HasFailure()) return;
+  }
+  twin.check();
+}
+
+TEST(PlacementIndexDifferential, ActivationSeqPast2To32KeepsFullWidthTieBreak) {
+  // Restore both twins with sequence numbers straddling 2^32: a tie-break
+  // on a truncated 32-bit sequence would rank the later-activated PMs
+  // (now just past 2^32) ahead of the earlier ones and diverge at once.
+  run_churn_differential(
+      ec2_sim_catalog(), /*fleet=*/300, /*total=*/2500, /*seed=*/9, /*two_choice=*/false,
+      [](TwinRun& run, std::size_t step, std::vector<VmId>&) {
+        if (step != 1200) return;
+        Datacenter& dc = run.indexed_dc();
+        const std::uint64_t first = dc.activation_seq(dc.used_pms().front());
+        const std::uint64_t mid = (first + dc.activation_counter()) / 2;
+        run.rebase_activation((std::uint64_t{1} << 32) - mid);
+        ASSERT_LT(run.indexed_dc().activation_seq(run.indexed_dc().used_pms().front()),
+                  std::uint64_t{1} << 32);
+        ASSERT_GT(run.indexed_dc().activation_counter(), std::uint64_t{1} << 32);
+        run.check();
+      });
 }
 
 TEST(PlacementIndex, InvariantsHoldUnderRandomChurn) {

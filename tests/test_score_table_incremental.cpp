@@ -4,7 +4,7 @@
 // The contract under test is strict: a graph grown via extend() and a table
 // grown via ScoreTable::extend() must be *byte-identical* to ones built
 // from scratch over the final demand list — same node numbering, same
-// float scores, same best-successor entries, same ranked spans — so that
+// float scores, same best-successor rows — so that
 // an engine running on an extended table makes bit-identical placement
 // decisions.
 #include "common/check.hpp"
@@ -62,17 +62,19 @@ void expect_tables_identical(const ScoreTable& a, const ScoreTable& b) {
     const auto row_a = a.best_row(t);
     const auto row_b = b.best_row(t);
     ASSERT_EQ(row_a.size(), row_b.size());
+    std::size_t fitting = 0;
     for (std::size_t u = 0; u < row_a.size(); ++u) {
       ASSERT_EQ(row_a[u].score, row_b[u].score) << "demand " << t << " node " << u;
       ASSERT_EQ(row_a[u].successor, row_b[u].successor) << "demand " << t << " node " << u;
+      if (row_a[u].successor == ScoreTable::kNoFit) continue;
+      ++fitting;
+      // The keyed accessor must read the same row entry.
+      const auto best = b.best_after(a.key_of(static_cast<NodeId>(u)), t);
+      ASSERT_TRUE(best.has_value()) << "demand " << t << " node " << u;
+      ASSERT_EQ(best->score, static_cast<double>(row_a[u].score));
+      ASSERT_EQ(best->successor, a.key_of(row_a[u].successor));
     }
-    const auto ranked_a = a.ranked_keys(t);
-    const auto ranked_b = b.ranked_keys(t);
-    ASSERT_EQ(ranked_a.size(), ranked_b.size()) << "ranked span of demand " << t;
-    for (std::size_t i = 0; i < ranked_a.size(); ++i) {
-      ASSERT_EQ(ranked_a[i].score, ranked_b[i].score) << "demand " << t << " rank " << i;
-      ASSERT_EQ(ranked_a[i].key, ranked_b[i].key) << "demand " << t << " rank " << i;
-    }
+    ASSERT_GT(fitting, 0u) << "demand " << t << " fits no profile";
   }
 }
 
