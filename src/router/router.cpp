@@ -26,6 +26,14 @@ bool parse_u64(const std::string& text, unsigned long long* out) {
   return true;
 }
 
+Request group_request(RequestOp op, const Request& place) {
+  Request request;
+  request.op = op;
+  request.vm_id = place.vm_id;
+  request.group = place.group;
+  return request;
+}
+
 int mode_severity(const std::string& quoted_mode) {
   if (quoted_mode == "\"degraded\"") return 2;
   if (quoted_mode == "\"draining\"") return 1;
@@ -83,6 +91,61 @@ Response Router::retry_unreachable(std::size_t cell, const Request& request, Res
 Response Router::cell_call(std::size_t cell, const Request& request) {
   m_.fanout_requests->inc();
   return retry_unreachable(cell, request, cells_[cell]->submit(request).get());
+}
+
+void Router::send_trailing(std::size_t cell, const Request& request) {
+  m_.fanout_requests->inc();
+  std::future<Response> future = cells_[cell]->submit(request);
+  if (future.wait_for(std::chrono::seconds(0)) == std::future_status::deferred) {
+    // A sink that defers its work (another router) has issued nothing yet:
+    // run it now, so the op is still issued before the client's ack.
+    future.wait();
+  }
+  std::lock_guard<std::mutex> lock(trailing_mu_);
+  trailing_.push_back(std::move(future));
+  has_trailing_.store(true, std::memory_order_relaxed);
+}
+
+void Router::reap_trailing() {
+  if (!has_trailing_.load(std::memory_order_relaxed)) return;
+  std::lock_guard<std::mutex> lock(trailing_mu_);
+  std::size_t kept = 0;
+  for (std::size_t i = 0; i < trailing_.size(); ++i) {
+    std::future<Response>& future = trailing_[i];
+    if (future.wait_for(std::chrono::seconds(0)) != std::future_status::ready) {
+      if (kept != i) trailing_[kept] = std::move(future);
+      ++kept;
+      continue;
+    }
+    // Best effort: a lost gcommit/gabort leaves a pending reservation that
+    // expires by TTL, so a failure is counted, never retried or thrown. A
+    // broken promise is a cell that went away with the op still queued.
+    try {
+      if (future.get().error == kCellUnreachable) m_.cell_unreachable->inc();
+    } catch (const std::exception&) {
+      m_.cell_unreachable->inc();
+    }
+  }
+  trailing_.resize(kept);
+  has_trailing_.store(kept > 0, std::memory_order_relaxed);
+}
+
+template <typename Fn>
+std::future<Response> Router::defer_on_vm(std::uint64_t vm, Fn fn) {
+  return std::async(std::launch::deferred, [this, vm, fn = std::move(fn)]() mutable {
+    struct Undefer {
+      Router* router;
+      std::uint64_t vm;
+      ~Undefer() { router->undefer(vm); }
+    } undefer{this, vm};
+    return fn();
+  });
+}
+
+void Router::undefer(std::uint64_t vm) {
+  std::lock_guard<std::mutex> lock(mu_);
+  const auto it = deferred_.find(vm);
+  if (it != deferred_.end() && --it->second == 0) deferred_.erase(it);
 }
 
 std::optional<std::size_t> Router::cell_of(std::uint64_t vm) const {
@@ -166,49 +229,67 @@ Response Router::local_reject(const Request& request, const char* error,
 
 std::future<Response> Router::submit(Request request) {
   m_.requests->inc();
+  reap_trailing();
   switch (request.op) {
     case RequestOp::kPlace: {
-      if (!request.group.empty()) {
-        return std::async(std::launch::deferred,
-                          [this, request = std::move(request)] {
-                            return do_grouped_place(request);
-                          });
-      }
-      bool known = false;
+      const std::uint64_t vm = request.vm_id;
+      const bool grouped = !request.group.empty();
+      bool eager = false;
       {
         std::lock_guard<std::mutex> lock(mu_);
-        known = vm_map_.count(request.vm_id) > 0;
+        // A known vm is likely a duplicate — but an in-flight release ahead
+        // of us may clear it, so its verdict waits for resolve time, as does
+        // anything queued behind an op on this vm that routes at resolve.
+        eager = vm_map_.count(vm) == 0 && deferred_.count(vm) == 0;
+        // A grouped place issues its place at resolve time, after the
+        // reserve's verdict, so it always holds later ops on the vm back.
+        if (grouped || !eager) ++deferred_[vm];
       }
-      if (known) {
-        // Likely a duplicate — but an in-flight release ahead of us on some
-        // connection may clear it, so the verdict is deferred to resolve
-        // time (do_place re-checks and runs the whole placement inline).
-        return std::async(std::launch::deferred,
-                          [this, request = std::move(request)] {
-                            return do_place(request);
-                          });
+      if (grouped) {
+        // Reserve NOW (when nothing on this vm is pending), so resolve time
+        // waits only for the verdict and the place.
+        std::optional<std::future<Response>> reserve;
+        if (eager) {
+          m_.group_reserves->inc();
+          m_.fanout_requests->inc();
+          reserve = cells_[cell_of_group(request.group, cells_.size())]->submit(
+              group_request(RequestOp::kGroupReserve, request));
+        }
+        return defer_on_vm(vm, [this, request = std::move(request),
+                                reserve = std::move(reserve)]() mutable {
+          return do_grouped_place(request, std::move(reserve));
+        });
+      }
+      if (!eager) {
+        return defer_on_vm(vm, [this, request = std::move(request)] {
+          return do_place(request);
+        });
       }
       // Hot path: fire at the hash cell NOW so pipelined connections keep
       // the cell's batching engine fed; spillover/map bookkeeping runs in
       // the deferred continuation at this response's FIFO slot.
-      const std::size_t primary = cell_of_vm(request.vm_id, cells_.size());
+      const std::size_t primary = cell_of_vm(vm, cells_.size());
       m_.fanout_requests->inc();
-      auto eager = cells_[primary]->submit(request);
+      auto eager_place = cells_[primary]->submit(request);
       return std::async(std::launch::deferred,
                         [this, request = std::move(request), primary,
-                         eager = std::move(eager)]() mutable {
+                         eager_place = std::move(eager_place)]() mutable {
                           return finish_place(std::move(request),
-                                              std::move(eager), primary);
+                                              std::move(eager_place), primary);
                         });
     }
     case RequestOp::kRelease:
     case RequestOp::kMigrate:
     case RequestOp::kLookup: {
+      const std::uint64_t vm = request.vm_id;
       std::optional<std::size_t> cell;
       {
         std::lock_guard<std::mutex> lock(mu_);
-        const auto it = vm_map_.find(request.vm_id);
-        if (it != vm_map_.end()) cell = it->second.cell;
+        if (deferred_.count(vm) == 0) {
+          const auto it = vm_map_.find(vm);
+          if (it != vm_map_.end()) cell = it->second.cell;
+        }
+        if (!cell.has_value()) ++deferred_[vm];
       }
       if (cell.has_value()) {
         m_.fanout_requests->inc();
@@ -220,12 +301,12 @@ std::future<Response> Router::submit(Request request) {
                                                 std::move(eager), c);
                           });
       }
-      // Unknown vm at submit time: the placement that makes it known may be
-      // in flight ahead of us, so route (or reject) at resolve time.
-      return std::async(std::launch::deferred,
-                        [this, request = std::move(request)] {
-                          return do_vm_op(request);
-                        });
+      // Unknown vm at submit time (the placement that makes it known may be
+      // in flight ahead of us) or an earlier op on it routes at resolve
+      // time: route (or reject) at resolve time too.
+      return defer_on_vm(vm, [this, request = std::move(request)] {
+        return do_vm_op(request);
+      });
     }
     case RequestOp::kGroupReserve:
     case RequestOp::kGroupCommit:
@@ -397,9 +478,7 @@ void Router::abort_group_membership(const std::string& group,
   request.vm_id = vm;
   request.group = group;
   m_.group_aborts->inc();
-  // Best effort: if the home cell is unreachable the reservation simply
-  // expires on its own (lazy TTL), so failure here is counted, not fatal.
-  cell_call(cell_of_group(group, cells_.size()), request);
+  send_trailing(cell_of_group(group, cells_.size()), request);
 }
 
 Response Router::finish_place(Request request, std::future<Response> primary,
@@ -431,24 +510,35 @@ Response Router::do_place(const Request& request) {
   return record_or_compensate(request, std::move(placed), accepted);
 }
 
-Response Router::do_grouped_place(const Request& request) {
+Response Router::do_grouped_place(const Request& request,
+                                  std::optional<std::future<Response>> eager_reserve) {
+  const std::size_t home = cell_of_group(request.group, cells_.size());
+  bool duplicate = false;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    if (vm_map_.count(request.vm_id) > 0)
-      return local_reject(request, to_string(RejectReason::kDuplicateVm),
-                          "vm id is already placed");
+    duplicate = vm_map_.count(request.vm_id) > 0;
   }
-  const std::size_t home = cell_of_group(request.group, cells_.size());
+  if (duplicate) {
+    // An earlier placement of this vm resolved after the eager reserve was
+    // sent. Give back the reservation if it was ours — a failed reserve
+    // means the membership belongs to someone else and must stay.
+    if (eager_reserve.has_value() && eager_reserve->get().ok)
+      abort_group_membership(request.group, request.vm_id);
+    return local_reject(request, to_string(RejectReason::kDuplicateVm),
+                        "vm id is already placed");
+  }
 
   // Phase 1: reserve membership at the home cell. Until this either commits
   // or expires, no other router connection (or router instance) can place
   // the same vm into the group.
-  Request reserve;
-  reserve.op = RequestOp::kGroupReserve;
-  reserve.vm_id = request.vm_id;
-  reserve.group = request.group;
-  m_.group_reserves->inc();
-  const Response reserved = cell_call(home, reserve);
+  const Request reserve = group_request(RequestOp::kGroupReserve, request);
+  Response reserved;
+  if (eager_reserve.has_value()) {
+    reserved = retry_unreachable(home, reserve, eager_reserve->get());
+  } else {
+    m_.group_reserves->inc();
+    reserved = cell_call(home, reserve);
+  }
   if (!reserved.ok) {
     Response r = local_reject(request, reserved.error.c_str(),
                               "group reservation failed: " + reserved.message);
@@ -469,16 +559,14 @@ Response Router::do_grouped_place(const Request& request) {
   Response recorded = record_or_compensate(request, std::move(placed), accepted);
   if (!recorded.ok) return recorded;  // compensation already aborted
 
-  // Phase 3: commit the membership to its owning cell. The placement is
-  // already durable at the cell, so a failed commit is non-fatal: the
-  // pending reservation keeps blocking duplicates until its TTL.
-  Request commit;
-  commit.op = RequestOp::kGroupCommit;
-  commit.vm_id = request.vm_id;
-  commit.group = request.group;
+  // Phase 3: commit the membership to its owning cell, trailing. The
+  // placement is already durable at the cell, so a lost commit is
+  // non-fatal: the pending reservation keeps blocking duplicates until its
+  // TTL.
+  Request commit = group_request(RequestOp::kGroupCommit, request);
   commit.cell = accepted;
   m_.group_commits->inc();
-  cell_call(home, commit);
+  send_trailing(home, commit);
   return recorded;
 }
 

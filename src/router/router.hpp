@@ -32,16 +32,38 @@
 // known target cell are ALSO submitted eagerly at submit() time, so a
 // pipelining connection keeps every cell's batching engine busy; the
 // deferred continuation only post-processes (map updates, spillover,
-// compensation). Ops whose target depends on earlier in-flight responses
-// (a release racing its own place down the same connection) defer the
-// routing decision itself to resolve time, where all earlier responses
-// have already resolved.
+// compensation). A grouped place sends its gres eagerly the same way and
+// waits at resolve time only for that verdict and the place itself.
 //
-// The vm -> cell map is the router's only mutable state and is rebuilt by
+// Per-vm deferral: an op whose cell request can only be issued at resolve
+// time (a place of a known vm, any grouped place, a release/migrate/lookup
+// of a vm the map does not know yet) counts in deferred_[vm] until its
+// continuation has issued its requests. While that count is non-zero,
+// later place/release/migrate/lookup ops on the same vm defer too, so no
+// eager request overtakes an earlier deferred one on its way to a cell —
+// per-connection FIFO holds exactly as against a single-cell daemon.
+//
+// Trailing ops and the ack contract: the saga's gcommit, and the gabort of
+// a grouped release or a failed/compensated grouped place, are enqueued at
+// the home cell and NOT waited on. Both are best-effort (pending
+// reservations expire by TTL), so they are never retried either — a late
+// retry could overtake a later gabort. Their futures sit in a router-owned
+// FIFO, reaped without blocking by later submit() calls; a transport
+// failure or broken promise there is counted in
+// prvm_router_cell_unreachable_total, never thrown. A trailing op is
+// enqueued before the client's ack is returned, so every request the client
+// sends after the ack is ordered behind it at that cell (cells are FIFO:
+// embedded queues and SocketCellChannel alike). Cell state is therefore
+// ordered, not yet applied, when the ack arrives; a routed stats fan-out is
+// a barrier behind it.
+//
+// Besides that in-flight bookkeeping (deferred_, the trailing FIFO), the
+// vm -> cell map is the router's only mutable state and is rebuilt by
 // walking the cells (lookup fan-out) — cells stay the single source of
 // durable truth.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <filesystem>
 #include <future>
@@ -66,6 +88,8 @@ struct RouterConfig {
   /// re-submitted after a transport failure. Each retry re-enters the
   /// cell's channel, so a FailoverCellChannel gets its chance to reconnect
   /// or promote a replica in between. 0 = fail fast (the old behavior).
+  /// Trailing gcommit/gabort ops are exempt: each is sent once and never
+  /// retried (a late retry could overtake a later gabort of the same vm).
   std::size_t retry_attempts = 2;
   /// Backoff before retry i is `retry_backoff_ms * (i + 1)` (linear: the
   /// common cause is a leader mid-failover, which resolves in tens of ms).
@@ -111,7 +135,9 @@ class Router : public RequestSink {
   Response finish_place(Request request, std::future<Response> primary,
                         std::size_t primary_cell);
   Response do_place(const Request& request);
-  Response do_grouped_place(const Request& request);
+  /// `eager_reserve` is the gres sent at submit() time, if any.
+  Response do_grouped_place(const Request& request,
+                            std::optional<std::future<Response>> eager_reserve);
   Response finish_vm_op(Request request, std::future<Response> eager,
                         std::size_t cell);
   Response do_vm_op(const Request& request);
@@ -135,8 +161,18 @@ class Router : public RequestSink {
   /// duplicate_vm rejection; otherwise annotates and returns `placed`.
   Response record_or_compensate(const Request& request, Response placed,
                                 std::size_t cell);
-  /// Best-effort gabort at the group's home cell (release / compensation).
+  /// Trailing gabort at the group's home cell (release / compensation).
   void abort_group_membership(const std::string& group, std::uint64_t vm);
+  /// Enqueues a best-effort op at `cell` without waiting for its answer;
+  /// the future joins trailing_ (see "Trailing ops" above).
+  void send_trailing(std::size_t cell, const Request& request);
+  /// Settles every trailing future that is ready; never blocks.
+  void reap_trailing();
+  /// Wraps a resolve-time continuation for an op that took a deferred_[vm]
+  /// slot in submit(); the slot is given back once `fn` has run.
+  template <typename Fn>
+  std::future<Response> defer_on_vm(std::uint64_t vm, Fn fn);
+  void undefer(std::uint64_t vm);
   Response local_reject(const Request& request, const char* error,
                         std::string message) const;
   /// Routed call with bounded retry/backoff on cell_unreachable (each
@@ -151,6 +187,13 @@ class Router : public RequestSink {
 
   mutable std::mutex mu_;
   std::unordered_map<std::uint64_t, VmEntry> vm_map_;
+  /// vm -> unresolved ops whose cell request is issued at resolve time.
+  std::unordered_map<std::uint64_t, std::uint32_t> deferred_;
+
+  /// Trailing gcommit/gabort answers nobody waits for, in send order.
+  std::mutex trailing_mu_;
+  std::vector<std::future<Response>> trailing_;
+  std::atomic<bool> has_trailing_{false};  ///< lets submit() skip the lock
 
   struct Metrics {
     obs::Counter* requests = nullptr;         ///< client requests routed

@@ -323,12 +323,15 @@ void SocketServer::stop() {
     stopping_ = true;
     connections.swap(connections_);
   }
+  // shutdown() wakes the blocked accept(); the fd is closed and reset only
+  // after the accept thread is joined, so that thread never reads a
+  // changing listen_fd_ or accepts on a number the process already reused.
+  if (listen_fd_ >= 0) ::shutdown(listen_fd_, SHUT_RDWR);
+  if (accept_thread_.joinable()) accept_thread_.join();
   if (listen_fd_ >= 0) {
-    ::shutdown(listen_fd_, SHUT_RDWR);
     ::close(listen_fd_);
     listen_fd_ = -1;
   }
-  if (accept_thread_.joinable()) accept_thread_.join();
   for (auto& connection : connections) {
     ::shutdown(connection->fd, SHUT_RDWR);  // unblocks the reader's recv
   }

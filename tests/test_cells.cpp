@@ -5,8 +5,11 @@
 // crash recovery mid-reserve, and the socket cell channel.
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <deque>
 #include <filesystem>
 #include <future>
+#include <mutex>
 #include <map>
 #include <memory>
 #include <set>
@@ -80,6 +83,58 @@ std::string extra_of(const Response& response, const std::string& key) {
   }
   return "";
 }
+
+/// Test double in front of one cell. It logs every request the router
+/// sends it and forwards each at once, so the cell sees them in send order.
+/// With hold_trailing() it withholds the answers to gcommit/gabort until
+/// stop_now(), which drops them unanswered — what a hard-stopped cell does
+/// to the requests still in its queue when it is torn down.
+class RecordingSink : public RequestSink {
+ public:
+  explicit RecordingSink(RequestSink& cell) : cell_(cell) {}
+
+  std::future<Response> submit(Request request) override {
+    std::lock_guard<std::mutex> lock(mu_);
+    const RequestOp op = request.op;
+    sent_.push_back(op);
+    std::future<Response> answer = cell_.submit(std::move(request));
+    if (!hold_trailing_ || (op != RequestOp::kGroupCommit && op != RequestOp::kGroupAbort))
+      return answer;
+    held_.emplace_back(std::move(answer), std::promise<Response>());
+    return held_.back().second.get_future();
+  }
+
+  void hold_trailing() {
+    std::lock_guard<std::mutex> lock(mu_);
+    hold_trailing_ = true;
+  }
+  /// Answers every withheld request (unblocks a router that waits on one).
+  void release_held() {
+    std::lock_guard<std::mutex> lock(mu_);
+    for (auto& [answer, promise] : held_) promise.set_value(answer.get());
+    held_.clear();
+  }
+  void stop_now() {
+    std::lock_guard<std::mutex> lock(mu_);
+    held_.clear();  // the router's futures now hold a broken promise
+    hold_trailing_ = false;
+  }
+  std::vector<RequestOp> sent() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return sent_;
+  }
+  std::size_t held() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return held_.size();
+  }
+
+ private:
+  RequestSink& cell_;
+  mutable std::mutex mu_;
+  std::vector<RequestOp> sent_;
+  bool hold_trailing_ = false;
+  std::vector<std::pair<std::future<Response>, std::promise<Response>>> held_;
+};
 
 // ---------------------------------------------------------------------------
 // GroupDirectory state machine.
@@ -420,7 +475,10 @@ TEST_F(RouterTest, GroupedSagaSpansCellsWithoutDoublePlacement) {
   EXPECT_EQ(call(router, place_request(2, 0, "web")).error, "duplicate_vm");
 
   // The home cell holds all four committed memberships and no pendings
-  // (every gcommit landed).
+  // (every gcommit landed). The trailing gcommit is only ordered at the
+  // home cell when the ack returns; a routed stats fan-out queues behind it
+  // at every cell, so once it answers the directory is up to date.
+  call(router, Request{});
   PlacementService& home = embedded->cell(cell_of_group("web", 2));
   EXPECT_EQ(home.group_directory().member_count(), 4u);
   EXPECT_EQ(home.group_directory().pending_count(), 0u);
@@ -428,14 +486,76 @@ TEST_F(RouterTest, GroupedSagaSpansCellsWithoutDoublePlacement) {
   // Releasing a member aborts its membership at the home cell, making the
   // vm id placeable in the group again.
   ASSERT_TRUE(call(router, vm_request(RequestOp::kRelease, 2)).ok);
+  call(router, Request{});  // barrier behind the trailing gabort
   EXPECT_EQ(home.group_directory().member_count(), 3u);
   const Response replaced = call(router, place_request(2, 0, "web"));
   ASSERT_TRUE(replaced.ok) << replaced.error;
+  call(router, Request{});  // barrier behind the trailing gcommit
   EXPECT_EQ(home.group_directory().member_count(), 4u);
 
   EXPECT_GE(counter(router, "prvm_router_group_reserves_total"), 5u);
   EXPECT_GE(counter(router, "prvm_router_group_commits_total"), 5u);
   EXPECT_GE(counter(router, "prvm_router_group_aborts_total"), 1u);
+  embedded->stop_now();
+}
+
+TEST_F(RouterTest, GroupedSagaAcksAfterEnqueueingItsTrailingOps) {
+  auto embedded = make_cells(2, 12);
+  RecordingSink sink0(embedded->cell(0));
+  RecordingSink sink1(embedded->cell(1));
+  Router router({&sink0, &sink1});
+  const std::size_t home = cell_of_group("web", 2);
+  RecordingSink& home_sink = home == 0 ? sink0 : sink1;
+  RecordingSink& other_sink = home == 0 ? sink1 : sink0;
+  home_sink.hold_trailing();
+
+  // Resolves `pending` on another thread (as a socket writer would), so a
+  // router that waited on a withheld answer fails the test, not hangs it.
+  const auto resolve = [&](std::future<Response>& pending) {
+    auto waiter = std::async(std::launch::async, [&pending] { return pending.get(); });
+    if (waiter.wait_for(std::chrono::seconds(30)) != std::future_status::ready) {
+      ADD_FAILURE() << "the ack waited for a withheld gcommit/gabort answer";
+      home_sink.release_held();
+    }
+    return waiter.get();
+  };
+  using Ops = std::vector<RequestOp>;
+
+  // The reserve leaves inside submit(); nothing else does.
+  auto placing = router.submit(place_request(1, 0, "web"));
+  EXPECT_EQ(home_sink.sent(), Ops{RequestOp::kGroupReserve});
+  EXPECT_TRUE(other_sink.sent().empty());
+
+  // The ack returns with the gcommit enqueued and its answer still withheld:
+  // of the requests issued while the continuation ran, only the place was
+  // waited on — one blocking cell wait per grouped place.
+  const Response placed = resolve(placing);
+  ASSERT_TRUE(placed.ok) << placed.error;
+  const bool placed_home = extra_of(placed, "cell") == std::to_string(home);
+  const Ops home_expected =
+      placed_home ? Ops{RequestOp::kGroupReserve, RequestOp::kPlace, RequestOp::kGroupCommit}
+                  : Ops{RequestOp::kGroupReserve, RequestOp::kGroupCommit};
+  EXPECT_EQ(home_sink.sent(), home_expected);
+  EXPECT_EQ(other_sink.sent(), placed_home ? Ops{} : Ops{RequestOp::kPlace});
+  EXPECT_EQ(home_sink.held(), 1u);
+
+  // A grouped release: the release leaves inside submit(), the gabort is
+  // enqueued at the home cell before the ack, unanswered.
+  auto releasing = router.submit(vm_request(RequestOp::kRelease, 1));
+  RecordingSink& owner = placed_home ? home_sink : other_sink;
+  EXPECT_EQ(owner.sent().back(), RequestOp::kRelease);
+  EXPECT_TRUE(resolve(releasing).ok);
+  EXPECT_EQ(home_sink.sent().back(), RequestOp::kGroupAbort);
+  EXPECT_EQ(home_sink.held(), 2u);
+
+  // The home cell dies with both trailing ops queued. Later submits reap
+  // the broken answers as cell_unreachable and never throw.
+  embedded->cell(home).stop_now();
+  home_sink.stop_now();
+  EXPECT_NO_THROW(call(router, place_request(2, 0)));
+  EXPECT_EQ(counter(router, "prvm_router_cell_unreachable_total"), 2u);
+  EXPECT_NO_THROW(call(router, place_request(3, 0, "web")));
+  EXPECT_NO_THROW(call(router, vm_request(RequestOp::kLookup, 2)));
   embedded->stop_now();
 }
 
@@ -499,6 +619,93 @@ TEST_F(RouterTest, ShardedMatchesSingleCellOnRandomSpanningGroupSequences) {
         << "seed " << seed;
     EXPECT_EQ(extra_of(sharded_stats, "placed"), extra_of(single_stats, "placed"));
     EXPECT_EQ(extra_of(sharded_stats, "rejected"), extra_of(single_stats, "rejected"));
+    embedded->stop_now();
+    single.stop_now();
+  }
+}
+
+TEST_F(RouterTest, PipelinedConnectionMatchesSingleCellVerdicts) {
+  // The same oracle as above, but one router connection keeps 8 ops in
+  // flight, so ops on one vm overtake nothing only if the router keeps
+  // per-connection FIFO: a place racing an earlier grouped place of the
+  // same vm, a release racing an earlier migrate, and so on.
+  constexpr std::size_t kInFlight = 8;
+  for (const std::uint64_t seed : {1u, 2u, 3u, 4u, 5u, 6u}) {
+    PlacementService single(catalog_, mixed_pm_fleet(catalog_, 150), tables_, ServiceConfig{});
+    single.start();
+    auto embedded = make_cells(3, 150);
+    Router router(embedded->sinks());
+
+    struct InFlight {
+      int op = 0;
+      Request request;
+      Response expected;
+      std::future<Response> actual;
+    };
+    std::deque<InFlight> window;
+    const auto settle = [&] {
+      InFlight next = std::move(window.front());
+      window.pop_front();
+      const Response actual = next.actual.get();
+      EXPECT_EQ(actual.ok, next.expected.ok)
+          << "seed " << seed << " op " << next.op << " " << to_string(next.request.op)
+          << " vm " << next.request.vm_id << " group '" << next.request.group
+          << "': single says '" << next.expected.error << "', sharded says '"
+          << actual.error << "' (" << actual.message << ")";
+      EXPECT_EQ(actual.error, next.expected.error) << "seed " << seed << " op " << next.op;
+    };
+
+    Rng rng(seed);
+    const std::vector<std::string> groups = {"", "", "web", "db", "cache"};
+    std::vector<std::uint64_t> live;
+    std::size_t live_grouped = 0;
+    std::map<std::uint64_t, bool> grouped;  // live vm -> placed with a group
+    std::uint64_t next_vm = 1;
+    for (int op = 0; op < 400; ++op) {
+      Request request;
+      const std::size_t dice = rng.uniform_index(10);
+      if (dice < 6 || live.empty()) {
+        const bool duplicate = !live.empty() && rng.chance(0.2);
+        const std::uint64_t vm =
+            duplicate ? live[rng.uniform_index(live.size())] : next_vm++;
+        request = place_request(vm, rng.uniform_index(catalog_.vm_types().size()),
+                                groups[rng.uniform_index(groups.size())]);
+      } else if (dice < 8) {
+        request = vm_request(RequestOp::kRelease, live[rng.uniform_index(live.size())]);
+      } else {
+        request = vm_request(RequestOp::kMigrate, live[rng.uniform_index(live.size())]);
+      }
+      Response expected = single.execute(request);
+      ASSERT_NE(expected.error, "no_capacity")
+          << "fleet too small for the oracle to be exact; grow it";
+      if (request.op == RequestOp::kPlace && expected.ok) {
+        live.push_back(request.vm_id);
+        grouped[request.vm_id] = !request.group.empty();
+        live_grouped += grouped[request.vm_id] ? 1 : 0;
+      } else if (request.op == RequestOp::kRelease && expected.ok) {
+        live.erase(std::find(live.begin(), live.end(), request.vm_id));
+        live_grouped -= grouped[request.vm_id] ? 1 : 0;
+      }
+      std::future<Response> actual = router.submit(request);
+      window.push_back(InFlight{op, std::move(request), std::move(expected), std::move(actual)});
+      if (window.size() == kInFlight) settle();
+    }
+    while (!window.empty()) settle();
+
+    const Response single_stats = single.execute(Request{});
+    const Response sharded_stats = router.submit(Request{}).get();
+    EXPECT_EQ(extra_of(sharded_stats, "vm_count"), extra_of(single_stats, "vm_count"))
+        << "seed " << seed;
+    EXPECT_EQ(extra_of(sharded_stats, "placed"), extra_of(single_stats, "placed"));
+    // The stats fan-out queued behind every trailing op: each live grouped
+    // vm holds exactly one committed membership, and no reservation leaked.
+    std::size_t members = 0, pending = 0;
+    for (std::size_t k = 0; k < embedded->size(); ++k) {
+      members += embedded->cell(k).group_directory().member_count();
+      pending += embedded->cell(k).group_directory().pending_count();
+    }
+    EXPECT_EQ(members, live_grouped) << "seed " << seed;
+    EXPECT_EQ(pending, 0u) << "seed " << seed;
     embedded->stop_now();
     single.stop_now();
   }
@@ -569,6 +776,9 @@ TEST_F(RouterTest, AllCellsRecoverToThePreCrashStateAfterHardStop) {
       ASSERT_TRUE(call(router, place_request(vm, vm % 2, group)).ok);
     }
     ASSERT_TRUE(call(router, vm_request(RequestOp::kRelease, 3)).ok);
+    // Barrier: the trailing gcommits/gabort are ordered at their home cell
+    // but maybe not applied yet; a routed stats answer comes after them.
+    call(router, Request{});
     for (std::size_t k = 0; k < embedded->size(); ++k) {
       digests.push_back(datacenter_state_digest(embedded->cell(k).datacenter()));
       directories.push_back(embedded->cell(k).group_directory());
