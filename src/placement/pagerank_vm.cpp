@@ -299,46 +299,4 @@ std::optional<PmIndex> PageRankVm::place(Datacenter& dc, const Vm& vm,
   return std::nullopt;
 }
 
-bool PageRankVm::speculate(const Datacenter& dc, const Vm& vm,
-                           const PlacementConstraints& constraints, Speculation& out) {
-  // The linear scan and 2-choice sampling depend on the scan/RNG stream of
-  // the committing engine, which speculation cannot reproduce; a const dc
-  // without this engine's pick index cannot be indexed here either.
-  if (!indexed() || dc.pick_index().tables() != tables_.get()) return false;
-  m_.place_calls->inc();
-  PmIndex pm = 0;
-  double score = 0.0;
-  const bool picked = (!constraints.exclude.has_value() && !constraints.allow)
-                          ? pick_indexed(dc, vm.type_index, pm, score)
-                          : pick_indexed_constrained(dc, vm.type_index, constraints, pm, score);
-  if (picked) {
-    out.pm = pm;
-    out.score = score;
-    out.act_seq = dc.activation_seq(pm);
-    out.profile = dc.pm(pm).canonical_key;
-    out.activated = false;
-    cached_placement_into(dc, pm, vm, out.placement);
-    return true;
-  }
-  for (auto i = dc.next_unused(0); i.has_value(); i = dc.next_unused(*i + 1)) {
-    if (!constraints.allowed(dc, *i)) continue;
-    if (!dc.fits(*i, vm.type_index)) continue;
-    out.pm = *i;
-    out.score = 0.0;
-    out.act_seq = 0;
-    out.activated = true;
-    out.profile = dc.pm(*i).canonical_key;
-    cached_placement_into(dc, *i, vm, out.placement);
-    return true;
-  }
-  return false;
-}
-
-std::optional<PageRankVm::Speculation> PageRankVm::speculate(
-    const Datacenter& dc, const Vm& vm, const PlacementConstraints& constraints) {
-  Speculation spec;
-  if (!speculate(dc, vm, constraints, spec)) return std::nullopt;
-  return spec;
-}
-
 }  // namespace prvm

@@ -22,8 +22,8 @@
 // bucket index instead, prefiltered by the branchless residual mask. The
 // chosen PM is identical to the linear scan for every VM (asserted by the
 // differential test). All per-pick state lives in engine-owned scratch, so
-// steady-state picks are allocation-free (asserted by the counting-allocator
-// test).
+// a steady-state place() allocates only what the ledger update itself does
+// (asserted by the counting-allocator test).
 #pragma once
 
 #include <cstdint>
@@ -61,36 +61,6 @@ class PageRankVm final : public PlacementAlgorithm {
   std::optional<PmIndex> place(Datacenter& dc, const Vm& vm,
                                const PlacementConstraints& constraints = {}) override;
 
-  /// A provisional placement decision computed against a frozen `dc` without
-  /// mutating it: the winning PM plus everything a caller needs to validate
-  /// the decision against a later datacenter state and commit it verbatim —
-  /// the score and activation-sequence tie-break witness, the PM's profile
-  /// at decision time, and the concrete dimension assignments realizing the
-  /// best successor. The service's parallel batch pipeline runs speculate()
-  /// concurrently on per-partition engine clones (the datacenter read path
-  /// is const and cache-free; the engine's own scratch makes each *clone*
-  /// single-threaded).
-  struct Speculation {
-    PmIndex pm = 0;
-    double score = 0.0;         ///< placement_score at decision time (unused when activated)
-    std::uint64_t act_seq = 0;  ///< activation_seq(pm) (tie-break witness)
-    ProfileKey profile = 0;     ///< pm's canonical profile at decision time
-    bool activated = false;     ///< chosen off the free list (no used PM fit)
-    DemandPlacement placement;  ///< concrete assignments realizing the best successor
-  };
-
-  /// Allocation-free form: fills `out` (whose vectors are reused across
-  /// calls) and returns true on a decision. Returns false when no PM fits,
-  /// when `dc` has no pick index attached for this engine's tables, or when
-  /// the engine options (linear scan, 2-choice sampling) make speculation
-  /// unsupported — in every case the caller must fall back to the serial
-  /// place() path.
-  bool speculate(const Datacenter& dc, const Vm& vm, const PlacementConstraints& constraints,
-                 Speculation& out);
-
-  std::optional<Speculation> speculate(const Datacenter& dc, const Vm& vm,
-                                       const PlacementConstraints& constraints = {});
-
   /// Score of placing `vm_type` on PM `i` right now: the PageRank value of
   /// the best resulting profile; nullopt when the VM does not fit. Exposed
   /// for tests and for the migration policy.
@@ -107,8 +77,8 @@ class PageRankVm final : public PlacementAlgorithm {
 
   /// Attaches this engine's score tables to `dc`'s pick index unless they
   /// already are (a no-op for the linear and 2-choice engines, which never
-  /// read it). place() does this itself; callers that speculate on a
-  /// freshly recovered datacenter call it once up front.
+  /// read it). place() does this itself; the service calls it once after
+  /// recovery so the first request does not pay the O(N·V) attach.
   void attach_index(Datacenter& dc) const;
 
  private:
@@ -120,7 +90,7 @@ class PageRankVm final : public PlacementAlgorithm {
   std::optional<PmIndex> pick_linear(Datacenter& dc, const Vm& vm,
                                      const PlacementConstraints& constraints);
 
-  /// True when place() and speculate() pick through the datacenter's index.
+  /// True when place() picks through the datacenter's index.
   bool indexed() const { return options_.use_index && !options_.two_choice; }
 
   /// Indexed engine, no constraints: the root of `dc`'s pick tree for

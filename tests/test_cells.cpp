@@ -5,11 +5,14 @@
 // crash recovery mid-reserve, and the socket cell channel.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
+#include <condition_variable>
 #include <deque>
 #include <filesystem>
 #include <future>
 #include <mutex>
+#include <ostream>
 #include <map>
 #include <memory>
 #include <set>
@@ -134,6 +137,73 @@ class RecordingSink : public RequestSink {
   std::vector<RequestOp> sent_;
   bool hold_trailing_ = false;
   std::vector<std::pair<std::future<Response>, std::promise<Response>>> held_;
+};
+
+/// A fake cell that accepts every request at once — including a place of a
+/// vm it already holds, which a real cell would answer duplicate_vm. That is
+/// what lets two placements of one vm both succeed "at the cell", the race
+/// the router must compensate for. With hold_grouped_place() it withholds
+/// the answer to the next grouped place until release_place().
+class AcceptingSink : public RequestSink {
+ public:
+  struct Sent {
+    RequestOp op;
+    std::uint64_t vm;
+    std::string group;
+    bool operator==(const Sent&) const = default;
+    friend std::ostream& operator<<(std::ostream& os, const Sent& sent) {
+      os << to_string(sent.op) << "(" << sent.vm;
+      if (!sent.group.empty()) os << ", " << sent.group;
+      return os << ")";
+    }
+  };
+
+  std::future<Response> submit(Request request) override {
+    Response response;
+    response.ok = true;
+    response.op = to_string(request.op);
+    response.vm = request.vm_id;
+    if (request.op == RequestOp::kPlace) response.pm = 0;
+    std::lock_guard<std::mutex> lock(mu_);
+    sent_.push_back(Sent{request.op, request.vm_id, request.group});
+    if (hold_ && request.op == RequestOp::kPlace && !request.group.empty()) {
+      hold_ = false;
+      held_ = std::make_unique<std::pair<std::promise<Response>, Response>>();
+      held_->second = std::move(response);
+      held_cv_.notify_all();
+      return held_->first.get_future();
+    }
+    std::promise<Response> answer;
+    answer.set_value(std::move(response));
+    return answer.get_future();
+  }
+
+  void hold_grouped_place() {
+    std::lock_guard<std::mutex> lock(mu_);
+    hold_ = true;
+  }
+  /// Waits (bounded) until the held grouped place has arrived.
+  bool wait_held() {
+    std::unique_lock<std::mutex> lock(mu_);
+    return held_cv_.wait_for(lock, std::chrono::seconds(30), [&] { return held_ != nullptr; });
+  }
+  /// Answers the held grouped place: accepted.
+  void release_place() {
+    std::lock_guard<std::mutex> lock(mu_);
+    held_->first.set_value(held_->second);
+    held_.reset();
+  }
+  std::vector<Sent> sent() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return sent_;
+  }
+
+ private:
+  mutable std::mutex mu_;
+  std::condition_variable held_cv_;
+  std::vector<Sent> sent_;
+  bool hold_ = false;
+  std::unique_ptr<std::pair<std::promise<Response>, Response>> held_;
 };
 
 // ---------------------------------------------------------------------------
@@ -556,6 +626,83 @@ TEST_F(RouterTest, GroupedSagaAcksAfterEnqueueingItsTrailingOps) {
   EXPECT_EQ(counter(router, "prvm_router_cell_unreachable_total"), 2u);
   EXPECT_NO_THROW(call(router, place_request(3, 0, "web")));
   EXPECT_NO_THROW(call(router, vm_request(RequestOp::kLookup, 2)));
+  embedded->stop_now();
+}
+
+TEST_F(RouterTest, CompensatesAPlacementTheCellAcceptedTwice) {
+  AcceptingSink cell;
+  Router router({&cell});
+  using Sent = AcceptingSink::Sent;
+
+  // Two pipelined places of vm 1: both go out eagerly (neither is in the
+  // vm map yet) and the fake cell accepts both. The second to resolve loses
+  // the map insert, so the router releases its placement again.
+  auto first = router.submit(place_request(1, 0));
+  auto second = router.submit(place_request(1, 0));
+  ASSERT_TRUE(first.get().ok);
+  const Response lost = second.get();
+  EXPECT_EQ(lost.error, "duplicate_vm");
+  EXPECT_EQ(cell.sent(), (std::vector<Sent>{{RequestOp::kPlace, 1, ""},
+                                            {RequestOp::kPlace, 1, ""},
+                                            {RequestOp::kRelease, 1, ""}}));
+  EXPECT_EQ(counter(router, "prvm_router_compensations_total"), 1u);
+  EXPECT_EQ(router.cell_of(1), std::optional<std::size_t>{0});
+
+  // The grouped form: two connections race vm 2, one ungrouped, one into
+  // "web". The grouped place passes its duplicate check and reserve, and
+  // its placement is held at the cell while the ungrouped one records the
+  // vm. Once the cell accepts the grouped place too, the router must
+  // release it and give back the reservation with a gabort, and never
+  // commit it.
+  auto ungrouped = router.submit(place_request(2, 0));
+  auto grouped = router.submit(place_request(2, 0, "web"));
+  cell.hold_grouped_place();
+  auto racing = std::async(std::launch::async, [&grouped] { return grouped.get(); });
+  ASSERT_TRUE(cell.wait_held()) << "the grouped place never reached the cell";
+  ASSERT_TRUE(ungrouped.get().ok);
+  cell.release_place();
+  EXPECT_EQ(racing.get().error, "duplicate_vm");
+  const std::vector<Sent> sent = cell.sent();
+  const std::vector<Sent> tail(sent.end() - 2, sent.end());
+  EXPECT_EQ(tail, (std::vector<Sent>{{RequestOp::kRelease, 2, ""},
+                                     {RequestOp::kGroupAbort, 2, "web"}}))
+      << "the compensating release and gabort must both be sent before the ack";
+  EXPECT_EQ(std::count_if(sent.begin(), sent.end(),
+                          [](const Sent& s) { return s.op == RequestOp::kGroupCommit; }),
+            0);
+  EXPECT_EQ(counter(router, "prvm_router_compensations_total"), 2u);
+}
+
+TEST_F(RouterTest, FailedEagerReserveLeavesTheForeignReservationAlone) {
+  auto embedded = make_cells(2, 12);
+  RecordingSink sink0(embedded->cell(0));
+  RecordingSink sink1(embedded->cell(1));
+  Router router({&sink0, &sink1});
+  const std::size_t home = cell_of_group("web", 2);
+  PlacementService& home_cell = embedded->cell(home);
+  RecordingSink& home_sink = home == 0 ? sink0 : sink1;
+
+  // Another router's saga holds a pending reservation of vm 5 in "web".
+  Request foreign;
+  foreign.op = RequestOp::kGroupReserve;
+  foreign.vm_id = 5;
+  foreign.group = "web";
+  ASSERT_TRUE(home_cell.submit(foreign).get().ok);
+
+  // This router pipelines place(5) and place(5, "web"). The grouped place
+  // sends its reserve eagerly, and the foreign reservation makes it fail;
+  // by its resolve time place(5) has recorded the vm, so it is a duplicate.
+  auto plain = router.submit(place_request(5, 0));
+  auto grouped = router.submit(place_request(5, 0, "web"));
+  ASSERT_TRUE(plain.get().ok);
+  EXPECT_EQ(grouped.get().error, "duplicate_vm");
+
+  // The reservation it failed to take is not its to give back.
+  call(router, Request{});  // barrier behind any trailing op
+  for (const RequestOp op : home_sink.sent()) EXPECT_NE(op, RequestOp::kGroupAbort);
+  const GroupDirectory::Member* member = home_cell.group_directory().member("web", 5);
+  ASSERT_NE(member, nullptr) << "the foreign reservation was aborted";
+  EXPECT_EQ(home_cell.group_directory().pending_count(), 1u);
   embedded->stop_now();
 }
 

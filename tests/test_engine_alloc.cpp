@@ -4,11 +4,14 @@
 // overrides below count every heap allocation in the process, which would
 // perturb the main suite. The contract: once the engine is warm (scratch
 // vectors sized, rep cache populated, need masks built, hash maps past their
-// final rehash), a speculate() pick performs ZERO heap allocations — the
-// whole hot path runs on engine-owned scratch and borrowed views.
+// final rehash), a place() allocates exactly as often as the ledger update
+// it performs — the pick and permutation path runs on engine-owned scratch
+// and borrowed views, adding zero allocations of its own.
 #include <atomic>
 #include <cstdlib>
 #include <new>
+#include <optional>
+#include <vector>
 
 static std::atomic<std::size_t> g_allocations{0};
 
@@ -61,14 +64,15 @@ std::shared_ptr<const ScoreTableSet> ec2_tables() {
   return tables;
 }
 
-TEST(EngineAlloc, WarmSpeculateIsAllocationFree) {
+TEST(EngineAlloc, WarmPlaceAllocatesOnlyInTheLedger) {
   const Catalog catalog = ec2_sim_catalog();
   const auto tables = ec2_tables();
   Datacenter dc(catalog, std::vector<std::size_t>(64, 0));
   PageRankVm engine(tables, {});
 
-  // Load the fleet part-way so every speculate below lands on a used PM
-  // (the activation fallback re-enumerates placements and may allocate).
+  // Load the fleet part-way so every place below lands on a used PM (the
+  // activation fallback re-enumerates placements and may allocate) and the
+  // place+remove round trip leaves the ledger exactly as it found it.
   Rng rng(11);
   VmId next_id = 1;
   const std::size_t vm_types = catalog.vm_types().size();
@@ -77,37 +81,60 @@ TEST(EngineAlloc, WarmSpeculateIsAllocationFree) {
     if (!engine.place(dc, vm).has_value()) break;
   }
   ASSERT_GT(dc.used_count(), 0u);
-  // place() attached the engine's tables: speculate() below reads the pick
-  // index rather than declining the unattached datacenter.
-  ASSERT_EQ(dc.pick_index().tables(), tables.get());
 
-  const PlacementConstraints constraints;
-  PageRankVm::Speculation spec;
   // Warm-up pass: sizes the scratch vectors, fills the rep cache for every
   // (profile, VM type) the probe set touches, triggers the one spurious
   // FlatMap64 rehash try_emplace may perform at its load threshold, and
-  // builds the need-mask matrix.
-  std::size_t decided = 0;
-  for (std::size_t v = 0; v < vm_types; ++v) {
-    const Vm vm{next_id++, v};
-    for (int rep = 0; rep < 2; ++rep) {
-      if (engine.speculate(dc, vm, constraints, spec)) ++decided;
-    }
-  }
-  ASSERT_GT(decided, 0u);
-
-  // Measured pass: the exact same picks must not touch the heap.
-  const std::size_t before = g_allocations.load(std::memory_order_relaxed);
-  for (int round = 0; round < 50; ++round) {
+  // builds the need-mask matrix. The second repetition records each VM
+  // type's choice.
+  std::vector<std::optional<PmIndex>> chosen_pm(vm_types);
+  std::vector<DemandPlacement> chosen(vm_types);
+  for (int rep = 0; rep < 2; ++rep) {
     for (std::size_t v = 0; v < vm_types; ++v) {
       const Vm vm{next_id++, v};
-      const bool ok = engine.speculate(dc, vm, constraints, spec);
-      if (round == 0 && !ok) continue;
+      chosen_pm[v] = engine.place(dc, vm);
+      if (!chosen_pm[v].has_value()) continue;
+      chosen[v].assignments = dc.pm(*chosen_pm[v]).vms.back().assignments;
+      dc.remove(vm.id);
     }
   }
-  const std::size_t after = g_allocations.load(std::memory_order_relaxed);
-  EXPECT_EQ(after, before) << "speculate() allocated " << (after - before)
-                           << " times across 50 warm rounds";
+  std::size_t placeable = 0;
+  for (std::size_t v = 0; v < vm_types; ++v) placeable += chosen_pm[v].has_value() ? 1 : 0;
+  ASSERT_GT(placeable, 0u);
+
+  // Both measured passes issue the same VM ids, so the ledger's own
+  // bookkeeping (vm index nodes, assignment vectors) costs the same in each.
+  constexpr int kRounds = 50;
+  const VmId first_id = next_id;
+  const auto measure = [&](auto&& place_one) {
+    VmId id = first_id;
+    const std::size_t before = g_allocations.load(std::memory_order_relaxed);
+    for (int round = 0; round < kRounds; ++round) {
+      for (std::size_t v = 0; v < vm_types; ++v) {
+        const Vm vm{id++, v};
+        if (place_one(vm)) dc.remove(vm.id);
+      }
+    }
+    return g_allocations.load(std::memory_order_relaxed) - before;
+  };
+
+  std::size_t mismatches = 0;
+  const std::size_t engine_allocs = measure([&](const Vm& vm) {
+    const std::optional<PmIndex> pm = engine.place(dc, vm);
+    if (pm != chosen_pm[vm.type_index]) ++mismatches;
+    return pm.has_value();
+  });
+  const std::size_t ledger_allocs = measure([&](const Vm& vm) {
+    if (!chosen_pm[vm.type_index].has_value()) return false;
+    dc.place(*chosen_pm[vm.type_index], vm, chosen[vm.type_index]);
+    return true;
+  });
+
+  EXPECT_EQ(mismatches, 0u) << "a warm place() strayed from its recorded pick";
+  EXPECT_EQ(engine_allocs, ledger_allocs)
+      << "place() allocated " << engine_allocs << " times across " << kRounds
+      << " warm rounds; replaying its choices through the ledger alone allocated "
+      << ledger_allocs;
 }
 
 // The pick index is sized once, when place() attaches it: keeping the trees

@@ -151,9 +151,6 @@ class TwinRun {
     indexed_dc_->serialize(stream);
     *indexed_dc_ = Datacenter::deserialize(catalog_, stream);
     ASSERT_FALSE(indexed_dc_->pick_index().attached());
-    // A reader must not trust a datacenter without the pick index.
-    PageRankVm::Speculation spec;
-    EXPECT_FALSE(indexed_[0]->speculate(*indexed_dc_, Vm{~VmId{0}, 0}, {}, spec));
   }
 
   void clear() {

@@ -53,8 +53,6 @@ void usage(const char* argv0) {
       << "  --batch K            max requests per engine pass (default 64)\n"
       << "  --queue N            request queue capacity (default 4096)\n"
       << "  --snapshot-every N   snapshot after N mutating ops (default 100000; 0 = drain only)\n"
-      << "  --parallel-workers N speculate place decisions on N engine clones per batch\n"
-      << "                       (default 0 = fully serial worker; results are identical)\n"
       << "  --flush-group N      WAL group commit: a flusher thread makes batches durable,\n"
       << "                       one write/fsync per up to N ops, while the worker computes\n"
       << "                       the next batch (default 0 = inline flush; must be >= batch)\n"
@@ -139,8 +137,6 @@ int main(int argc, char** argv) {
       config.queue_capacity = static_cast<std::size_t>(std::stoull(value()));
     } else if (arg == "--snapshot-every") {
       config.snapshot_every_ops = std::stoull(value());
-    } else if (arg == "--parallel-workers") {
-      config.parallel_workers = static_cast<std::size_t>(std::stoull(value()));
     } else if (arg == "--flush-group") {
       config.flush_group_max = static_cast<std::size_t>(std::stoull(value()));
     } else if (arg == "--fsync") {
